@@ -46,12 +46,18 @@ echo "eco_sta smoke wall clock: $((t4 - t3)) s"
 # multi-corner-STA round must stay bit-identical to serial at 1/2/4
 # threads, and the full-flow two-corner sign-off must actually engage
 # the fan-out (`threads_used` assertions fail if either kernel silently
-# drops back to serial). Already in the suite above; named here so a
-# determinism or plumbing regression is called out in the CI log.
+# drops back to serial). The router's own unit tests pin its congested
+# result to a recorded digest (serial and 2 threads) and require a
+# reused A* scratch to return the same path as a fresh one. Already in
+# the suite above; named here so a determinism, plumbing or
+# routing-kernel regression is called out in the CI log.
 echo "== par: route + multi-corner STA determinism smoke =="
 cargo test -q --release --test par_determinism -- \
     routing_is_thread_count_invariant \
     multi_corner_sta_is_thread_count_invariant
+cargo test -q --release -p camsoc-layout --lib -- \
+    route::tests::congested_route_matches_pinned_digest \
+    route::tests::reused_search_scratch_matches_fresh_scratch
 cargo test -q --release --test full_flow \
     two_corner_signoff_on_dsc_engages_parallel_kernels
 t5=$(date +%s)

@@ -39,6 +39,25 @@
 //! tail of **serial polish sweeps** (batch size 1 is exactly the classic
 //! serial negotiator) that recovers the last few percent after the
 //! batched rounds have done the bulk of the rip-up work.
+//!
+//! # Search scratch
+//!
+//! A* keeps its bookkeeping in a reusable `SearchScratch`: best cost,
+//! parent and an epoch stamp per gcell in dense arrays, plus the open
+//! list, so a search allocates nothing but the path it returns. Each
+//! thread keeps one scratch in a thread-local: a fan-out worker reuses
+//! it across its share of a batch, and the calling thread across
+//! batches, sweeps and staleness retries. A thread's scratch stays
+//! sized for the largest grid it has searched (16 bytes per gcell plus
+//! the open list) until the thread exits.
+//!
+//! A scratch cannot change a path. Starting a search bumps the epoch, so
+//! every cell an earlier search touched reads as unreached, just like a
+//! missing key in a fresh map, and it empties the open list. What
+//! decides the path is unchanged: the open-list order (f-score, then x,
+//! then y) and the strict `<` relaxation. So a search returns the same
+//! path whichever thread runs it and whatever that thread's scratch
+//! searched before.
 
 use std::collections::{BinaryHeap, HashMap};
 
@@ -291,63 +310,123 @@ impl Ord for Node {
     }
 }
 
-/// A* reroute with congestion-aware costs.
-fn astar(
+/// `SearchScratch::parent` of a search's start cell: where path
+/// reconstruction stops.
+const NO_PARENT: u32 = u32::MAX;
+
+/// Reusable A* bookkeeping: best cost, parent and stamp per gcell
+/// (indexed `y * nx + x`) plus the open list. A cell's `best`/`parent`
+/// entries belong to the current search only while its stamp equals
+/// `epoch` (see the module docs, "Search scratch").
+#[derive(Default)]
+struct SearchScratch {
+    best: Vec<f64>,
+    parent: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    open: BinaryHeap<Node>,
+}
+
+impl SearchScratch {
+    /// Start a search over `cells` gcells: grow the tables if needed and
+    /// invalidate every entry.
+    fn begin(&mut self, cells: usize) {
+        if self.stamp.len() < cells {
+            // parents are stored as u32 cell indices, NO_PARENT excluded
+            assert!(
+                cells < NO_PARENT as usize,
+                "{cells} gcells exceed u32 cell indices"
+            );
+            self.best.resize(cells, 0.0);
+            self.parent.resize(cells, NO_PARENT);
+            self.stamp.resize(cells, 0);
+        }
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.stamp.fill(0);
+                1
+            }
+        };
+        self.open.clear();
+    }
+}
+
+/// A* reroute with congestion-aware costs, on this thread's search
+/// scratch.
+fn astar(grid: &Grid, from: (usize, usize), to: (usize, usize), cap: u32, penalty: f64) -> Path {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<SearchScratch> =
+            std::cell::RefCell::new(SearchScratch::default());
+    }
+    SCRATCH.with(|s| astar_with(grid, from, to, cap, penalty, &mut s.borrow_mut()))
+}
+
+/// [`astar`] on an explicit scratch.
+fn astar_with(
     grid: &Grid,
     from: (usize, usize),
     to: (usize, usize),
     cap: u32,
     penalty: f64,
+    s: &mut SearchScratch,
 ) -> Path {
+    let nx = grid.nx;
     let h = |p: (usize, usize)| -> f64 {
         (p.0.abs_diff(to.0) + p.1.abs_diff(to.1)) as f64
     };
-    let mut open = BinaryHeap::new();
-    let mut best: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut parent: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    open.push(Node(h(from), from));
-    best.insert(from, 0.0);
-    while let Some(Node(_, cur)) = open.pop() {
+    s.begin(nx * grid.ny);
+    let epoch = s.epoch;
+    let start = from.1 * nx + from.0;
+    s.stamp[start] = epoch;
+    s.best[start] = 0.0;
+    s.parent[start] = NO_PARENT;
+    s.open.push(Node(h(from), from));
+    while let Some(Node(_, cur)) = s.open.pop() {
+        let (x, y) = cur;
+        let here = y * nx + x;
         if cur == to {
             let mut path = vec![to];
-            let mut p = to;
-            while let Some(&prev) = parent.get(&p) {
-                path.push(prev);
-                p = prev;
+            let mut p = s.parent[here];
+            while p != NO_PARENT {
+                let cell = p as usize;
+                path.push((cell % nx, cell / nx));
+                p = s.parent[cell];
             }
             path.reverse();
             return path;
         }
-        let g = best[&cur];
-        let (x, y) = cur;
-        let mut neighbors: Vec<((usize, usize), f64)> = Vec::with_capacity(4);
-        if x + 1 < grid.nx {
+        let g = s.best[here];
+        // an unreached cell is always taken; a reached one only on a
+        // strictly better cost
+        let mut relax = |np: (usize, usize), n: usize, cost: f64| {
+            let ng = g + cost;
+            if s.stamp[n] != epoch || ng < s.best[n] {
+                s.stamp[n] = epoch;
+                s.best[n] = ng;
+                s.parent[n] = here as u32;
+                s.open.push(Node(ng + h(np), np));
+            }
+        };
+        if x + 1 < nx {
             let i = grid.h_index(x, y);
             let c = edge_cost(grid.h_usage[i], grid.h_hist[i], cap, penalty);
-            neighbors.push(((x + 1, y), c));
+            relax((x + 1, y), here + 1, c);
         }
         if x > 0 {
             let i = grid.h_index(x - 1, y);
             let c = edge_cost(grid.h_usage[i], grid.h_hist[i], cap, penalty);
-            neighbors.push(((x - 1, y), c));
+            relax((x - 1, y), here - 1, c);
         }
         if y + 1 < grid.ny {
             let i = grid.v_index(x, y);
             let c = edge_cost(grid.v_usage[i], grid.v_hist[i], cap, penalty);
-            neighbors.push(((x, y + 1), c));
+            relax((x, y + 1), here + nx, c);
         }
         if y > 0 {
             let i = grid.v_index(x, y - 1);
             let c = edge_cost(grid.v_usage[i], grid.v_hist[i], cap, penalty);
-            neighbors.push(((x, y - 1), c));
-        }
-        for (np, cost) in neighbors {
-            let ng = g + cost;
-            if best.get(&np).is_none_or(|&b| ng < b) {
-                best.insert(np, ng);
-                parent.insert(np, cur);
-                open.push(Node(ng + h(np), np));
-            }
+            relax((x, y - 1), here - nx, c);
         }
     }
     l_route(from, to) // unreachable in a connected grid; fallback
@@ -828,6 +907,50 @@ mod tests {
         assert_eq!(r.threads_used, 4);
     }
 
+    /// FNV-1a over the routed result: every net's length bits, then
+    /// total overflow, overflowed edges and total wirelength bits.
+    fn route_digest(r: &RouteResult) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = r.net_length_um.iter().map(|l| l.to_bits()).chain([
+            r.total_overflow,
+            r.overflowed_edges as u64,
+            r.total_wirelength_um.to_bits(),
+        ]);
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// [`route_digest`] of the congested fixture (600-gate ip_block
+    /// seed 3, Wirelength placement, capacity 8, default rounds),
+    /// recorded with the `HashMap`-bookkept A* that preceded
+    /// [`SearchScratch`]: 167 total overflow on 140 edges, 47,013.882 µm.
+    const PINNED_ROUTE_DIGEST: u64 = 0x7d28_8446_ec12_af76;
+
+    #[test]
+    fn congested_route_matches_pinned_digest() {
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let cfg = RouteConfig {
+                edge_capacity: 8,
+                parallelism: par,
+                ..RouteConfig::default()
+            };
+            let (_, r) = routed(600, &cfg);
+            assert_eq!(r.total_overflow, 167, "{par:?}");
+            assert_eq!(r.overflowed_edges, 140, "{par:?}");
+            assert_eq!(
+                r.total_wirelength_um.to_bits(),
+                47_013.882_105_329_33f64.to_bits(),
+                "{par:?}"
+            );
+            assert_eq!(route_digest(&r), PINNED_ROUTE_DIGEST, "{par:?}");
+        }
+    }
+
     #[test]
     fn routed_result_is_thread_count_invariant() {
         let mk = |par: Parallelism| {
@@ -866,6 +989,63 @@ mod tests {
         // collapsing every comparison against it to "equal"
         assert_eq!(Node(f64::NAN, (0, 0)).cmp(&Node(f64::NAN, (0, 0))), std::cmp::Ordering::Equal);
         assert_ne!(Node(f64::NAN, (0, 0)).cmp(&Node(1.0, (0, 0))), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn reused_search_scratch_matches_fresh_scratch() {
+        use camsoc_netlist::generate::SplitMix64;
+        // seeded usage/history grids; `hot = false` leaves every edge at
+        // the same cost, so only the open list's coordinate tie-break
+        // decides among the equal-length paths
+        let grid = |nx: usize, ny: usize, hot: bool, rng: &mut SplitMix64| {
+            let mut g = Grid::new(nx, ny);
+            if hot {
+                for u in g.h_usage.iter_mut().chain(g.v_usage.iter_mut()) {
+                    *u = rng.below(16) as u32;
+                }
+                for h in g.h_hist.iter_mut().chain(g.v_hist.iter_mut()) {
+                    *h = rng.below(4) as f64 * 0.25;
+                }
+            }
+            g
+        };
+        let mut rng = SplitMix64::new(0x5ea5_c4a7);
+        // small, large (forces a resize), small again (stale cells past
+        // the small grid's end), and the uniform-cost tie-break grids
+        let grids = [
+            grid(7, 5, true, &mut rng),
+            grid(23, 19, true, &mut rng),
+            grid(7, 5, true, &mut rng),
+            grid(23, 19, false, &mut rng),
+            grid(7, 5, false, &mut rng),
+        ];
+        let fresh = |g: &Grid, a, b| astar_with(g, a, b, 8, 8.0, &mut SearchScratch::default());
+        let mut shared = SearchScratch::default();
+        for round in 0..2 {
+            if round == 1 {
+                // forced wrap: a search at epoch 1 leaves its stamps,
+                // then the counter wraps back to 1. Those stamps must
+                // read as unreached, or the reverse search finds its
+                // target already "reached" at cost 0 and never gets there.
+                let big = &grids[1];
+                let (a, b) = ((0, 0), (big.nx - 1, big.ny - 1));
+                shared.epoch = 0;
+                astar_with(big, a, b, 8, 8.0, &mut shared);
+                shared.epoch = u32::MAX;
+                let wrapped = astar_with(big, b, a, 8, 8.0, &mut shared);
+                assert_eq!(shared.epoch, 1, "epoch did not wrap");
+                assert_eq!(wrapped, fresh(big, b, a), "after the epoch wrap");
+            }
+            for g in &grids {
+                for _ in 0..12 {
+                    let a = (rng.below(g.nx), rng.below(g.ny));
+                    let b = (rng.below(g.nx), rng.below(g.ny));
+                    let reused = astar_with(g, a, b, 8, 8.0, &mut shared);
+                    let (nx, ny) = (g.nx, g.ny);
+                    assert_eq!(reused, fresh(g, a, b), "{nx}x{ny} grid, {a:?} -> {b:?}");
+                }
+            }
+        }
     }
 
     #[test]
