@@ -32,13 +32,22 @@ echo "fault-injection smoke wall clock: $((t3 - t2)) s"
 
 # O(cone) incremental-STA smoke: replay one (corner, seed) point of the
 # paper's ECO history. The test fails if any localized change falls back
-# to a full re-annotation, rebuilds the persistent structures instead of
-# patching them, or spends O(netlist) bookkeeping (order repair, fanout
-# patching, endpoint recomputes are each asserted well below netlist
-# size per change). Already in the suite above; named here so an
-# incremental-STA perf regression is called out in the CI log.
+# to a full re-annotation, recompiles the engine's netlist snapshot
+# instead of patching it, or spends O(netlist) counted bookkeeping
+# (levels recomputed, fanout entries patched and endpoint recomputes are
+# each asserted well below netlist size per change). The snapshot's
+# (level, id) order re-sort after a level change is O(instances) and
+# uncounted. Two more tests ride along: the hold-fix loop's two-buffer
+# delta must patch (not recompile) and re-time bit-identically, and a
+# flow whose fix loops both run must hand the engine's snapshot to the
+# two-corner sign-off (one compile in the timing-fix stage, sign-off
+# equal to a fresh compile's). Already in the suite above; named here
+# so an incremental-STA perf regression is called out in the CI log.
 echo "== eco_sta: O(cone) incremental-STA smoke =="
 cargo test -q --release --test sta_incremental replay_is_bit_identical_typical_corner_seed_a
+cargo test -q --release -p camsoc-sta --lib \
+    incremental::tests::two_buffers_on_one_net_patch_in_one_update
+cargo test -q --release --test full_flow faster_clock_is_harder_to_close
 t4=$(date +%s)
 echo "eco_sta smoke wall clock: $((t4 - t3)) s"
 
@@ -67,7 +76,8 @@ echo "par smoke wall clock: $((t5 - t4)) s"
 # adjacency exactly, every ported traversal kernel (fsim / STA / equiv)
 # must stay bit-identical to its graph-walking reference engine, and a
 # journal-patched snapshot must equal a fresh compile across the full
-# paper ECO history. Already in the suite above; named here so a
+# paper ECO history and after a six-op journal with one of every
+# journaled edit. Already in the suite above; named here so a
 # compiled-core regression is called out in the CI log.
 echo "== compiled: SoA/CSR bit-identity smoke =="
 cargo test -q --release --test compiled_netlist -- \
@@ -75,6 +85,8 @@ cargo test -q --release --test compiled_netlist -- \
     sta_reports_on_compiled_core_match_graph_engine \
     equiv_engines_agree_across_threads \
     journal_patched_snapshot_matches_fresh_compile_across_eco_history
+cargo test -q --release -p camsoc-netlist --lib \
+    eco::tests::journal_patches_fanout_structures
 t6=$(date +%s)
 echo "compiled smoke wall clock: $((t6 - t5)) s"
 

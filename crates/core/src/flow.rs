@@ -124,8 +124,9 @@ impl Default for FlowOptions {
 /// thread (the parallel stages compile once *before* fanning work out),
 /// so the deltas captured around each stage are exact. A clean flow
 /// compiles exactly four times: once for ATPG's combinational circuit,
-/// once for the sign-off STA baseline shared by every corner, and twice
-/// for equivalence (one per side).
+/// once in the timing-fix stage (the incremental engine's baseline,
+/// patched through the fix loops and handed to the two-corner sign-off),
+/// and twice for equivalence (one per side).
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CompileStats {
     /// `(stage, compile calls while that stage ran)` in execution
@@ -1182,7 +1183,9 @@ fn stage_timing_fix(
     }
     // Two-corner sign-off of the post-ECO netlist: setup where delays
     // are slowest, hold where they are fastest, both corners analyzed
-    // concurrently over the flow's parallelism setting.
+    // concurrently over the flow's parallelism setting. When timing
+    // needed fixing, the engine's journal-patched snapshot already
+    // mirrors the final netlist, so the stage compiles once either way.
     wires.resize(eco.netlist().num_nets(), 0.01);
     let base = sta_with_hier(
         Sta::new(eco.netlist(), &options.tech, constraints.clone())
@@ -1190,12 +1193,13 @@ fn stage_timing_fix(
             .with_clock_latency(layout.clock_tree.latency_ns.clone()),
         hier,
     );
-    let corner_signoff = multi_corner::signoff(
-        &base,
-        Corner::worst(),
-        Corner::best(),
-        options.parallelism,
-    )?;
+    let (slow, fast, par) = (Corner::worst(), Corner::best(), options.parallelism);
+    let corner_signoff = match &engine {
+        Some(inc) if eco.delta().is_empty() => {
+            multi_corner::signoff_on(&base, inc.compiled(), slow, fast, par)?
+        }
+        _ => multi_corner::signoff(&base, slow, fast, par)?,
+    };
     let (netlist, _) = eco.finish();
     Ok(TimingFixOutcome {
         netlist,

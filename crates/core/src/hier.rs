@@ -236,14 +236,8 @@ pub fn harden_one(
     let die = result.layout.floorplan.die;
     let constraints =
         Constraints::single_clock(&options.clock_port, options.clock_period_ns);
-    let (inc, _) =
-        Sta::new(&result.netlist, &options.tech, constraints).into_incremental()?;
-    let timing = MacroTiming::extract(
-        &result.netlist,
-        inc.annotation(),
-        &options.tech,
-        pessimism_ns,
-    );
+    let annotation = Sta::new(&result.netlist, &options.tech, constraints).annotate()?;
+    let timing = MacroTiming::extract(&result.netlist, &annotation, &options.tech, pessimism_ns);
     Ok(MacroAbstract {
         name: netlist.name.clone(),
         content_hash: hash,

@@ -27,10 +27,9 @@
 //!
 //! Snapshots are created with [`Netlist::compile`] and kept coherent
 //! across ECO edits by replaying the [`EditDelta`] connectivity journal
-//! through [`CompiledNetlist::patch`] — the same journal that keeps
-//! `camsoc_sta::IncrementalSta`'s persistent structures O(cone), so an
-//! incremental timing loop never pays an O(netlist) rebuild for its
-//! compiled view either.
+//! through [`CompiledNetlist::patch`], the journal's only consumer.
+//! `camsoc_sta::IncrementalSta` walks a snapshot patched this way, so
+//! an incremental timing loop never recompiles its connectivity.
 //!
 //! ```
 //! use camsoc_netlist::builder::NetlistBuilder;
@@ -772,20 +771,24 @@ impl CompiledNetlist {
 
     /// Replay an [`EditDelta`] connectivity journal against this
     /// snapshot so it matches `nl`, the netlist *after* the journaled
-    /// edits — the compiled-core counterpart of
-    /// [`EditDelta::patch_fanout`], with the same validate-then-replay
-    /// discipline and the same contract: `None` means the journal does
-    /// not explain the edit (stale snapshot, foreign netlist,
-    /// out-of-chronology merge, a sequential/combinational flip the
-    /// journal cannot express, or a cycle introduced by the edit); the
-    /// snapshot may then be partially patched and must be rebuilt with
-    /// a fresh [`Netlist::compile`].
+    /// edits. The replay validates every id before it touches any
+    /// state. `None` means the journal does not explain the edit: a
+    /// stale snapshot, a foreign netlist, an out-of-chronology merge, a
+    /// sequential/combinational flip the journal cannot express, or a
+    /// cycle introduced by the edit. The snapshot may then be partially
+    /// patched and must be rebuilt with a fresh [`Netlist::compile`].
     ///
     /// On success the snapshot equals `nl.compile()` (asserted over the
-    /// full 29-change paper ECO history in `tests/compiled_netlist.rs`)
-    /// and the returned [`PatchStats`] stay proportional to the edit
-    /// cone, which is what lets an incremental timing loop keep a
-    /// compiled view warm without O(netlist) rebuilds.
+    /// full 29-change paper ECO history in `tests/compiled_netlist.rs`).
+    /// Fanout and level bookkeeping stay proportional to the edit; the
+    /// `(level, id)` order is re-sorted, O(instances), whenever a level
+    /// changed. `camsoc_sta::IncrementalSta` keeps its snapshot current
+    /// this way on every update.
+    ///
+    /// Added instances bind their output net and driver entry from `nl`
+    /// *after* the replay: a later `MoveOutput` in the same journal may
+    /// move that output onto a net the journal only adds afterwards
+    /// (two buffers inserted on one gate-driven net).
     ///
     /// ```
     /// use camsoc_netlist::builder::NetlistBuilder;
@@ -877,21 +880,17 @@ impl CompiledNetlist {
                     self.num_nets += 1;
                 }
                 ConnectivityEdit::AddInstance { inst } => {
-                    // Read the instance's *final* state; the Connect
-                    // entries that follow replay its pins in journal
-                    // chronology, converging on the same values.
+                    // The Connect entries that follow replay the pins in
+                    // journal chronology; the output is bound after the
+                    // replay, once every net it may move onto exists.
                     let gi = nl.instance(inst);
-                    if gi.output.index() >= self.num_nets {
-                        return None;
-                    }
                     self.cell.push(gi.cell);
-                    self.output.push(gi.output.0);
+                    self.output.push(NONE);
                     self.clock.push(NONE);
                     self.level.push(0);
                     self.fanin.extend(gi.inputs.iter().map(|n| n.0));
                     self.fanin_start.push(self.fanin.len() as u32);
                     self.names.push_instance(&gi.name);
-                    self.driver_inst[gi.output.index()] = inst.0;
                 }
                 ConnectivityEdit::Connect { inst, pin, net } => {
                     if inst.index() >= self.cell.len() || net.index() >= self.num_nets {
@@ -940,6 +939,12 @@ impl CompiledNetlist {
             }
         }
 
+        for i in old_inst..final_inst {
+            let out = nl.instance(InstanceId(i as u32)).output;
+            self.output[i] = out.0;
+            self.driver_inst[out.index()] = i as u32;
+        }
+
         // Drive/function edits (upsize, change_function, …) move no pin
         // and are deliberately absent from the journal; refresh the
         // cells of every touched instance from the netlist instead. A
@@ -959,45 +964,53 @@ impl CompiledNetlist {
             self.cell[inst.index()] = now;
         }
 
-        self.repair_levels(delta, &mut stats)?;
-        self.order = sorted_comb_order(&self.cell, &self.level);
+        if self.repair_levels(delta, &mut stats)? {
+            self.order = sorted_comb_order(&self.cell, &self.level);
+        }
         Some(stats)
     }
 
-    /// Worklist level repair: seed every combinational instance the
-    /// delta touches (directly, or as a reader of a touched net),
-    /// recompute each from its fanins, and propagate through
-    /// combinational fanout while levels keep changing. On a DAG this
-    /// converges to the unique fixed point — exactly the levels a fresh
-    /// compile computes; a level exceeding the instance count proves
-    /// the edit introduced a cycle.
-    fn repair_levels(&mut self, delta: &EditDelta, stats: &mut PatchStats) -> Option<()> {
+    /// Worklist level repair, seeded from the journal: every instance
+    /// an `AddInstance`, `Connect` or `RewireInput` names, plus the
+    /// readers of both nets of each `MoveOutput`. Drive and function
+    /// edits move no pin, so they seed nothing. Each seed is recomputed
+    /// from its fanins, and changes propagate through combinational
+    /// fanout. On a DAG this converges to the unique fixed point —
+    /// exactly the levels a fresh compile computes; a level exceeding
+    /// the instance count proves the edit introduced a cycle. Returns
+    /// whether any level changed.
+    fn repair_levels(&mut self, delta: &EditDelta, stats: &mut PatchStats) -> Option<bool> {
+        let mut stack: Vec<u32> = Vec::new();
+        for e in &delta.edits {
+            match *e {
+                ConnectivityEdit::AddInstance { inst }
+                | ConnectivityEdit::Connect { inst, .. }
+                | ConnectivityEdit::RewireInput { inst, .. } => stack.push(inst.0),
+                ConnectivityEdit::MoveOutput { from, to, .. } => {
+                    for net in [from, to] {
+                        stack.extend(
+                            self.fanout(net)
+                                .iter()
+                                .filter(|&&(_, pin)| pin != CLOCK_PIN)
+                                .map(|&(g, _)| g),
+                        );
+                    }
+                }
+                ConnectivityEdit::AddNet { .. } => {}
+            }
+        }
+        stack.retain(|&g| !self.cell[g as usize].function.is_sequential());
+        if stack.is_empty() {
+            return Some(false);
+        }
+        stack.sort_unstable();
+        stack.dedup();
         let n_inst = self.cell.len();
         let mut queued = vec![false; n_inst];
-        let mut stack: Vec<u32> = Vec::new();
-        for &inst in &delta.instances {
-            if !self.cell[inst.index()].function.is_sequential() && !queued[inst.index()]
-            {
-                queued[inst.index()] = true;
-                stack.push(inst.0);
-            }
+        for &g in &stack {
+            queued[g as usize] = true;
         }
-        for &net in &delta.nets {
-            if net.index() >= self.num_nets {
-                return None;
-            }
-            let (start, len) = self.fanout_row[net.index()];
-            for k in start..start + len {
-                let (g, pin) = self.fanout_arena[k as usize];
-                if pin != CLOCK_PIN
-                    && !self.cell[g as usize].function.is_sequential()
-                    && !queued[g as usize]
-                {
-                    queued[g as usize] = true;
-                    stack.push(g);
-                }
-            }
-        }
+        let mut changed = false;
         while let Some(g) = stack.pop() {
             let gi = g as usize;
             queued[gi] = false;
@@ -1017,6 +1030,7 @@ impl CompiledNetlist {
             }
             if fresh != self.level[gi] {
                 self.level[gi] = fresh;
+                changed = true;
                 let (start, len) = self.fanout_row[self.output[gi] as usize];
                 for k in start..start + len {
                     let (r, pin) = self.fanout_arena[k as usize];
@@ -1030,7 +1044,7 @@ impl CompiledNetlist {
                 }
             }
         }
-        Some(())
+        Some(changed)
     }
 
     /// Append `(inst, pin)` to a net's fanout row. If the row is at the

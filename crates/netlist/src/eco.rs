@@ -56,10 +56,11 @@ impl EcoKind {
 
 /// One connectivity-changing primitive, recorded in application order.
 ///
-/// The journal lets an incremental consumer patch derived structures
-/// (fanout maps, levelization) in O(edit) instead of rebuilding them in
-/// O(netlist). Drive/function changes are deliberately absent: they do
-/// not move any pin, so no derived connectivity structure changes.
+/// The journal lets [`CompiledNetlist::patch`](crate::compiled::CompiledNetlist::patch)
+/// bring a compiled snapshot's fanout rows and logic levels up to date
+/// in O(edit) instead of recompiling in O(netlist). Drive/function
+/// changes are deliberately absent: they do not move any pin, so no
+/// derived connectivity structure changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnectivityEdit {
     /// Input pin `pin` of `inst` moved from net `from` to net `to`.
@@ -155,97 +156,6 @@ impl EditDelta {
     /// Number of instances the journal appends.
     pub fn added_instances(&self) -> usize {
         self.edits.iter().filter(|e| matches!(e, ConnectivityEdit::AddInstance { .. })).count()
-    }
-
-    /// Patch a fanout count/map pair in place by replaying the journal.
-    ///
-    /// `counts` and `map` must be the [`Netlist::fanout_counts`] /
-    /// [`Netlist::fanout_map`] of the netlist *before* the journaled
-    /// edits; `nl` is the netlist *after* them. On success both are grown
-    /// and patched to match `nl` exactly (up to per-net entry order,
-    /// which no consumer depends on) and the number of patched map
-    /// entries is returned.
-    ///
-    /// Returns `None` when the journal does not explain the structures —
-    /// dimension mismatch, out-of-range id, or a rewire whose source
-    /// entry is missing (stale baseline, out-of-chronology merge). The
-    /// structures may then be partially patched and must be rebuilt from
-    /// scratch by the caller.
-    pub fn patch_fanout(
-        &self,
-        nl: &Netlist,
-        counts: &mut Vec<usize>,
-        map: &mut Vec<Vec<(InstanceId, usize)>>,
-    ) -> Option<usize> {
-        let old_n = counts.len();
-        if map.len() != old_n || old_n + self.added_nets() != nl.num_nets() {
-            return None;
-        }
-        let final_n = nl.num_nets();
-        let num_inst = nl.num_instances();
-        // Validate every id before mutating anything, so the common
-        // failure modes (stale delta, foreign netlist) reject cleanly
-        // without corrupting the caller's structures.
-        let mut next_net = old_n;
-        for e in &self.edits {
-            match *e {
-                ConnectivityEdit::AddNet { net } => {
-                    if net.index() != next_net {
-                        return None;
-                    }
-                    next_net += 1;
-                }
-                ConnectivityEdit::AddInstance { inst } => {
-                    if inst.index() >= num_inst {
-                        return None;
-                    }
-                }
-                ConnectivityEdit::Connect { inst, net, .. } => {
-                    if inst.index() >= num_inst || net.index() >= final_n {
-                        return None;
-                    }
-                }
-                ConnectivityEdit::RewireInput { inst, from, to, .. } => {
-                    if inst.index() >= num_inst || from.index() >= final_n || to.index() >= final_n
-                    {
-                        return None;
-                    }
-                }
-                ConnectivityEdit::MoveOutput { inst, from, to } => {
-                    if inst.index() >= num_inst || from.index() >= final_n || to.index() >= final_n
-                    {
-                        return None;
-                    }
-                }
-            }
-        }
-        counts.resize(final_n, 0);
-        map.resize(final_n, Vec::new());
-        let mut patched = 0usize;
-        for e in &self.edits {
-            match *e {
-                ConnectivityEdit::AddNet { .. } | ConnectivityEdit::AddInstance { .. } => {}
-                // `MoveOutput` changes a driver, not a load set.
-                ConnectivityEdit::MoveOutput { .. } => {}
-                ConnectivityEdit::Connect { inst, pin, net } => {
-                    counts[net.index()] += 1;
-                    map[net.index()].push((inst, pin));
-                    patched += 1;
-                }
-                ConnectivityEdit::RewireInput { inst, pin, from, to } => {
-                    let f = from.index();
-                    let slot = map[f].iter().position(|&e| e == (inst, pin))?;
-                    // Per-net entry order is semantically irrelevant (all
-                    // consumers min-fold or set-collect), so O(1) removal.
-                    map[f].swap_remove(slot);
-                    counts[f] -= 1;
-                    counts[to.index()] += 1;
-                    map[to.index()].push((inst, pin));
-                    patched += 2;
-                }
-            }
-        }
-        Some(patched)
     }
 }
 
@@ -889,14 +799,13 @@ mod tests {
     #[test]
     fn journal_patches_fanout_structures() {
         // One of every journaled op, then replay the journal against the
-        // pre-edit fanout structures and require exact agreement with a
-        // from-scratch rebuild (entry order within a net is free).
+        // pre-edit compiled snapshot and require exact agreement with a
+        // fresh compile (fanout rows compare as sets).
         let nl = small();
         let g = nl.find_instance("u_g").unwrap();
         let a = nl.find_net("a").unwrap();
         let y = nl.instance(g).output;
-        let mut counts = nl.fanout_counts();
-        let mut map = nl.fanout_map();
+        let mut snapshot = nl.compile().unwrap();
         let mut eco = EcoSession::new(nl);
         eco.insert_inverter(g, 0).unwrap();
         eco.insert_buffer(y, Drive::X4).unwrap();
@@ -906,21 +815,12 @@ mod tests {
         eco.add_pipeline_flop(y, a).unwrap();
         let delta = eco.take_delta();
         assert!(!delta.edits.is_empty());
-        let patched = delta.patch_fanout(eco.netlist(), &mut counts, &mut map).unwrap();
-        assert!(patched > 0);
-        assert_eq!(counts, eco.netlist().fanout_counts());
-        let mut fresh = eco.netlist().fanout_map();
-        for v in &mut fresh {
-            v.sort();
-        }
-        let mut sorted = map.clone();
-        for v in &mut sorted {
-            v.sort();
-        }
-        assert_eq!(sorted, fresh);
+        let stats = snapshot.patch(eco.netlist(), &delta).unwrap();
+        assert!(stats.fanout_entries_patched > 0);
+        assert_eq!(snapshot, eco.netlist().compile().unwrap());
         // Replaying the same journal a second time is a chronology
         // violation; the dimension check rejects it without panicking.
-        assert!(delta.patch_fanout(eco.netlist(), &mut counts, &mut map).is_none());
+        assert!(snapshot.patch(eco.netlist(), &delta).is_none());
     }
 
     #[test]

@@ -260,8 +260,7 @@ pub struct JobRequest {
     /// deadline.
     pub deadline: Option<Duration>,
     /// Scheduling class (see [`Priority`]). Defaults to
-    /// [`Priority::Normal`]; v1 request files (which predate the field)
-    /// decode to `Normal` as well.
+    /// [`Priority::Normal`].
     pub priority: Priority,
 }
 

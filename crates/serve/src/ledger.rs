@@ -2,8 +2,8 @@
 //!
 //! A small, human-readable, versioned text file recording the last
 //! known [`JobState`] of every job a farm directory has ever accepted —
-//! plus, since v2, the job's lease (owner id + monotonically renewed
-//! heartbeat stamp), scheduling priority, and transient-failure count.
+//! plus the job's lease (owner id + monotonically renewed heartbeat
+//! stamp), scheduling priority, and transient-failure count.
 //! Every transition rewrites the whole file atomically
 //! (write-temp-then-rename), so the ledger on disk is always a
 //! complete snapshot.
@@ -14,7 +14,7 @@
 //! transaction on the fresh snapshot, rewrite atomically, release. The
 //! in-memory map is only a mirror of the last transaction's view.
 //!
-//! v2 format (tab-separated, one job per line, sorted by id; `-`
+//! Format (tab-separated, one job per line, sorted by id; `-`
 //! encodes an empty owner/detail column):
 //!
 //! ```text
@@ -22,10 +22,6 @@
 //! 0<TAB>done<TAB>normal<TAB>-<TAB>14<TAB>0<TAB>-
 //! 1<TAB>running<TAB>critical<TAB>farm-4211-0<TAB>3<TAB>1<TAB>-
 //! ```
-//!
-//! v1 files (`id<TAB>state<TAB>detail`) still decode: priority defaults
-//! to `normal`, the lease columns to "never owned", attempts to 0. The
-//! first v2 transition rewrites the whole file as v2.
 //!
 //! **Torn-tail recovery.** The atomic rewrite protects the rename
 //! target, but a crash inside a *non-atomic* writer (or a torn copy of
@@ -46,10 +42,8 @@ use std::path::{Path, PathBuf};
 use crate::job::{JobId, JobState, Priority};
 use crate::lock::FileLock;
 
-/// Header line of a v2 ledger file (current write format).
+/// Header line of a ledger file (the only format read or written).
 const LEDGER_HEADER_V2: &str = "camsoc-ledger v2";
-/// Header line of a v1 ledger file (still decodable).
-const LEDGER_HEADER_V1: &str = "camsoc-ledger v1";
 
 /// Errors opening or persisting a ledger.
 #[derive(Debug)]
@@ -209,14 +203,13 @@ impl JobLedger {
 
     fn parse(text: &str) -> Result<Parsed, LedgerError> {
         let mut lines = text.lines();
-        let v2 = match lines.next() {
-            Some(LEDGER_HEADER_V2) => true,
-            Some(LEDGER_HEADER_V1) => false,
+        match lines.next() {
+            Some(LEDGER_HEADER_V2) => {}
             Some(other) => {
                 return Err(LedgerError::Malformed(format!("bad header {other:?}")));
             }
             None => return Err(LedgerError::Malformed("empty file".into())),
-        };
+        }
         let data: Vec<(usize, &str)> =
             lines.enumerate().filter(|(_, line)| !line.is_empty()).collect();
         let last = data.len().checked_sub(1);
@@ -224,7 +217,7 @@ impl JobLedger {
         let mut recovered_tail = None;
         for (pos, (n, line)) in data.iter().enumerate() {
             let lineno = n + 2; // 1-based, counting the header
-            let fail = match Self::parse_line(line, v2) {
+            let fail = match Self::parse_line(line) {
                 Ok((id, entry)) => {
                     if entries.insert(id, entry).is_some() {
                         entries.remove(&id); // don't keep EITHER copy of an ambiguous pair
@@ -249,25 +242,26 @@ impl JobLedger {
         Ok(Parsed { entries, recovered_tail })
     }
 
-    fn parse_line(line: &str, v2: bool) -> Result<(JobId, LedgerEntry), String> {
+    fn parse_line(line: &str) -> Result<(JobId, LedgerEntry), String> {
         let cols: Vec<&str> = line.split('\t').collect();
-        let want = if v2 { 7 } else { 3 };
-        if cols.len() != want {
-            return Err(format!("{} columns, expected {want}", cols.len()));
+        if cols.len() != 7 {
+            return Err(format!("{} columns, expected 7", cols.len()));
         }
         let id = cols[0].parse::<u64>().map_err(|_| format!("bad id {:?}", cols[0]))?;
         let state =
             JobState::from_token(cols[1]).ok_or_else(|| format!("bad state {:?}", cols[1]))?;
         let uncol = |s: &str| if s == "-" { String::new() } else { s.to_string() };
-        let entry = if v2 {
-            let priority = Priority::from_token(cols[2])
-                .ok_or_else(|| format!("bad priority {:?}", cols[2]))?;
-            let beat = cols[4].parse::<u64>().map_err(|_| format!("bad beat {:?}", cols[4]))?;
-            let attempts =
-                cols[5].parse::<u32>().map_err(|_| format!("bad attempts {:?}", cols[5]))?;
-            LedgerEntry { state, priority, owner: uncol(cols[3]), beat, attempts, detail: uncol(cols[6]) }
-        } else {
-            LedgerEntry { detail: uncol(cols[2]), ..LedgerEntry::new(state, Priority::Normal) }
+        let priority =
+            Priority::from_token(cols[2]).ok_or_else(|| format!("bad priority {:?}", cols[2]))?;
+        let beat = cols[4].parse::<u64>().map_err(|_| format!("bad beat {:?}", cols[4]))?;
+        let attempts = cols[5].parse::<u32>().map_err(|_| format!("bad attempts {:?}", cols[5]))?;
+        let entry = LedgerEntry {
+            state,
+            priority,
+            owner: uncol(cols[3]),
+            beat,
+            attempts,
+            detail: uncol(cols[6]),
         };
         Ok((JobId(id), entry))
     }
@@ -506,30 +500,6 @@ mod tests {
             assert_eq!(t.max_id(), Some(JobId(0)));
         })
         .unwrap();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_ledgers_decode_with_defaults_and_upgrade() {
-        let dir = tmp_dir("v1");
-        let path = dir.join("ledger.txt");
-        fs::write(&path, "camsoc-ledger v1\n0\tdone\t-\n1\tparked\tdeadline\n2\tqueued\t-\n")
-            .unwrap();
-        let mut ledger = JobLedger::open(&path).unwrap();
-        assert!(ledger.recovered_tail().is_none());
-        assert_eq!(ledger.len(), 3);
-        let e = ledger.entry(JobId(1)).unwrap();
-        assert_eq!(
-            (e.state, e.priority, e.owner.as_str(), e.beat, e.attempts, e.detail.as_str()),
-            (JobState::Parked, Priority::Normal, "", 0, 0, "deadline")
-        );
-        // First transition rewrites the file as v2.
-        ledger.record(JobId(2), JobState::Running, "").unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("camsoc-ledger v2\n"), "upgraded header: {text:?}");
-        let back = JobLedger::open(&path).unwrap();
-        assert_eq!(back.state(JobId(2)), Some(JobState::Running));
-        assert_eq!(back.entry(JobId(1)).unwrap().detail, "deadline");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,16 +15,18 @@ use camsoc_core::persist::PersistError;
 use camsoc_core::FlowCheckpoint;
 use camsoc_netlist::codec::{Codec, CodecError, Decoder, Encoder};
 
-use crate::job::{DesignSpec, JobId, JobRequest, Priority};
-use camsoc_core::flow::FlowOptions;
-use std::time::Duration;
+use crate::job::{JobId, JobRequest};
 
 /// Magic prefix of a request file: `"CREQ"` little-endian.
 pub const REQUEST_MAGIC: u32 = u32::from_le_bytes(*b"CREQ");
-/// Current request-file format version. v2 appends the priority byte;
-/// v1 files (written before priorities existed) still decode, with
-/// [`Priority::Normal`] implied.
-pub const REQUEST_VERSION: u32 = 2;
+/// The only request-file format version this build reads and writes.
+/// Request files embed [`FlowOptions`](camsoc_core::flow::FlowOptions),
+/// so the version moves with
+/// [`CHECKPOINT_VERSION`](camsoc_core::persist::CHECKPOINT_VERSION):
+/// version 3 is the first whose options carry
+/// `RouteConfig::capacity_scale`. Older files are refused with
+/// [`CodecError::Version`].
+pub const REQUEST_VERSION: u32 = 3;
 
 /// Durable per-job storage rooted at a farm directory.
 #[derive(Debug, Clone)]
@@ -81,13 +83,13 @@ impl CheckpointStore {
         fs::rename(&tmp, &path)
     }
 
-    /// Load `job`'s request back from disk. Accepts the current v2
-    /// format and legacy v1 files (decoded with `Priority::Normal`).
+    /// Load `job`'s request back from disk.
     ///
     /// # Errors
     ///
-    /// [`PersistError`] on I/O failure or if the file is not a valid
-    /// v1/v2 request.
+    /// [`PersistError`] on I/O failure, [`CodecError::Version`] for any
+    /// version other than [`REQUEST_VERSION`], or a decode error if the
+    /// file is not a valid request.
     pub fn load_request(&self, job: JobId) -> Result<JobRequest, PersistError> {
         let bytes = fs::read(self.request_path(job))?;
         let mut d = Decoder::new(&bytes);
@@ -95,19 +97,11 @@ impl CheckpointStore {
         if magic != REQUEST_MAGIC {
             return Err(CodecError::Corrupt(format!("bad request magic {magic:#010x}")).into());
         }
-        let version = d.get_u32()?;
-        let request = match version {
-            1 => JobRequest {
-                spec: DesignSpec::decode(&mut d)?,
-                options: FlowOptions::decode(&mut d)?,
-                deadline: Option::<Duration>::decode(&mut d)?,
-                priority: Priority::Normal,
-            },
-            2 => JobRequest::decode(&mut d)?,
-            found => {
-                return Err(CodecError::Version { found, supported: REQUEST_VERSION }.into());
-            }
-        };
+        let found = d.get_u32()?;
+        if found != REQUEST_VERSION {
+            return Err(CodecError::Version { found, supported: REQUEST_VERSION }.into());
+        }
+        let request = JobRequest::decode(&mut d)?;
         d.expect_end()?;
         Ok(request)
     }
@@ -231,31 +225,49 @@ mod tests {
     }
 
     #[test]
-    fn v1_requests_decode_with_normal_priority() {
-        let store = tmp_store("v1req");
-        // Hand-build a v1 file: magic, version 1, then the v1 field
-        // order (spec, options, deadline — no priority byte).
-        let spec = DesignSpec::IpBlock { name: "old".into(), target_gates: 300, seed: 9 };
-        let options = FlowOptions::default();
-        let deadline = Some(Duration::from_millis(250));
-        let mut e = Encoder::new();
-        e.put_u32(REQUEST_MAGIC);
-        e.put_u32(1);
-        spec.encode(&mut e);
-        options.encode(&mut e);
-        deadline.encode(&mut e);
-        fs::write(store.request_path(JobId(3)), e.into_bytes()).unwrap();
-        let back = store.load_request(JobId(3)).unwrap();
-        assert_eq!(back.spec, spec);
-        assert_eq!(back.deadline, deadline);
-        assert_eq!(back.priority, Priority::Normal);
-        // Unknown future versions are still refused.
-        let mut e = Encoder::new();
-        e.put_u32(REQUEST_MAGIC);
-        e.put_u32(99);
-        fs::write(store.request_path(JobId(4)), e.into_bytes()).unwrap();
-        assert!(store.load_request(JobId(4)).is_err());
+    fn older_request_versions_are_refused() {
+        let store = tmp_store("oldreq");
+        let req = JobRequest::new(
+            DesignSpec::IpBlock { name: "old".into(), target_gates: 300, seed: 9 },
+            FlowOptions::default(),
+        );
+        // Versions 1 and 2 embed flow options without
+        // `capacity_scale`; a future version is unknown. Each is
+        // refused at the header, with a typed version error.
+        for found in [1u32, 2, 99] {
+            let mut e = Encoder::new();
+            e.put_u32(REQUEST_MAGIC);
+            e.put_u32(found);
+            req.encode(&mut e);
+            fs::write(store.request_path(JobId(3)), e.into_bytes()).unwrap();
+            match store.load_request(JobId(3)) {
+                Err(PersistError::Codec(CodecError::Version { found: f, supported })) => {
+                    assert_eq!((f, supported), (found, REQUEST_VERSION));
+                }
+                other => panic!("version {found} should be refused, got {other:?}"),
+            }
+        }
         let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn flow_options_encoding_is_pinned_to_the_file_versions() {
+        // Request files and checkpoints both embed `FlowOptions`. If
+        // this digest moves, the options codec changed: bump
+        // REQUEST_VERSION and CHECKPOINT_VERSION, then re-pin all three.
+        let mut e = Encoder::new();
+        FlowOptions::default().encode(&mut e);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a
+        for b in e.into_bytes() {
+            digest ^= u64::from(b);
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(
+            (REQUEST_VERSION, camsoc_core::persist::CHECKPOINT_VERSION, digest),
+            (3, 2, 0xf1e2_2222_b07f_1e72),
+            "the FlowOptions encoding changed: bump REQUEST_VERSION and \
+             CHECKPOINT_VERSION, then re-pin this digest"
+        );
     }
 
     #[test]

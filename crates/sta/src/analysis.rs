@@ -558,25 +558,23 @@ impl<'a> Sta<'a> {
     }
 
     /// Recompute the endpoint requirement of a single net from its
-    /// current flop readers (via the fanout map) on top of its static
-    /// macro/port constraint. Bit-identical to the `net` entry of
-    /// [`Sta::endpoint_required`].
+    /// current flop readers (via the snapshot's CSR fanout row) on top
+    /// of its static macro/port constraint. Bit-identical to the `net`
+    /// entry of [`Sta::endpoint_required`]: the fold is a `min`, so the
+    /// row's entry order cannot matter.
     pub(crate) fn endpoint_required_for(
         &self,
+        cn: &CompiledNetlist,
         net: NetId,
         static_req: f64,
-        fanout_map: &[Vec<(InstanceId, usize)>],
         flop_clock: &HashMap<InstanceId, f64>,
         default_period: f64,
     ) -> f64 {
         let mut req = static_req;
-        for &(reader, pin) in &fanout_map[net.index()] {
-            if pin == usize::MAX {
-                continue; // clock pin: not a data endpoint
-            }
-            let inst = self.nl.instance(reader);
-            if !inst.function().is_flop() {
-                continue;
+        for &(reader, pin) in cn.fanout(net) {
+            let reader = InstanceId(reader);
+            if pin == CLOCK_PIN || !cn.function(reader).is_flop() {
+                continue; // clock pins and gate inputs are not data endpoints
             }
             let period = flop_clock.get(&reader).copied().unwrap_or(default_period);
             let lat = *self.clock_latency_ns.get(&reader).unwrap_or(&0.0);
@@ -776,7 +774,7 @@ impl<'a> Sta<'a> {
     /// walks the CSR row (same pin order, so the strict-`>` first-wins
     /// max tie-break is unchanged) and the fanout count comes from the
     /// dense table instead of a precomputed vector.
-    fn eval_forward_compiled(
+    pub(crate) fn eval_forward_compiled(
         &self,
         cn: &CompiledNetlist,
         id: InstanceId,
@@ -823,7 +821,7 @@ impl<'a> Sta<'a> {
     /// fold is a pure `min` over finite values, so the row's entry
     /// order (which a [`CompiledNetlist::patch`] may permute relative
     /// to a fresh compile) cannot change the result.
-    fn eval_required_compiled(
+    pub(crate) fn eval_required_compiled(
         &self,
         cn: &CompiledNetlist,
         net: NetId,

@@ -5,43 +5,45 @@
 //! a resize — almost all of that work reproduces numbers that cannot
 //! have moved: arrivals only change in the *forward fanout cone* of the
 //! edit frontier, and required times only change in the *backward fanin
-//! cone*. [`IncrementalSta`] keeps the levelized [`Annotation`] from a
-//! baseline analysis alive, takes the [`EditDelta`] an
+//! cone*. [`IncrementalSta`] keeps the [`Annotation`] from a baseline
+//! analysis alive, takes the [`EditDelta`] an
 //! [`EcoSession`](camsoc_netlist::eco::EcoSession) accumulates, and
 //! re-evaluates only those two cones.
 //!
-//! # Persistent derived structures
+//! # Persistent structures
 //!
-//! Cone-limited *evaluation* is not enough to make an update O(cone):
-//! the derived structures the evaluation consults must also be patched
-//! rather than rebuilt. The engine keeps four of them alive across
-//! updates:
+//! Cone-limited *evaluation* is not enough to make an update cheap: the
+//! structures the evaluation consults must also be patched rather than
+//! rebuilt. The engine keeps three of them alive across updates:
 //!
-//! - **Levelization** (`ann.order` plus an instance→position index):
-//!   new combinational instances append to the tail, and edges whose
-//!   endpoints ended up out of order are repaired with a
-//!   Pearce–Kelly-style local reorder confined to the affected region.
-//! - **Fanout counts and fanout map**: replayed in place from the
-//!   connectivity journal ([`EditDelta::patch_fanout`]) — O(edits), not
-//!   O(nets).
+//! - **The compiled snapshot**: the [`CompiledNetlist`] the baseline
+//!   compiles. Each update replays the delta's connectivity journal into
+//!   it with [`CompiledNetlist::patch`], which repairs the CSR fanout
+//!   rows, fanout counts and logic levels in O(edits + cone). The cones
+//!   are walked over its rows, ordered by its `(level, id)` key and
+//!   evaluated by the compiled per-gate kernels
+//!   [`multi_corner`](crate::multi_corner) runs. When a level changed,
+//!   the patch re-sorts the snapshot's order, an uncounted O(instances)
+//!   step.
 //! - **Endpoint requirements**: the static macro/port part never moves
 //!   under ECO edits; per-net flop constraints are recomputed only for
 //!   nets whose flop readers or capture periods actually changed.
 //! - **Capture clocks** (`ann.flop_clock`): re-traced only for flops
 //!   whose clock tree intersects the edit.
 //!
-//! When a delta arrives without a journal that explains the netlist's
-//! current shape (e.g. a foreign delta source), the engine falls back
-//! to re-deriving the structures — still bit-identical, just O(netlist)
-//! bookkeeping — and [`UpdateStats::structures_rebuilt`] records it.
+//! When the snapshot refuses a delta, because its journal does not
+//! explain the netlist's current shape (a stripped or hand-built delta,
+//! a skipped update), the engine recompiles and re-annotates from
+//! scratch — still bit-identical — and [`UpdateStats::structures_rebuilt`]
+//! records it.
 //!
 //! The update is **bit-identical** to a from-scratch analysis: it reuses
-//! the exact per-gate evaluation routines of the full pass, re-seeds
-//! launch points through the same code path, folds fanout lists in the
-//! same order, and re-derives order-sensitive scalars (like the IO
-//! reference latency) deterministically. `TimingReport` equality —
-//! including WNS/TNS floats and critical-path backtraces — is asserted
-//! across the whole 29-change paper ECO history in
+//! the exact per-gate evaluation routines of the full compiled pass,
+//! re-seeds launch points through the same code path, folds fanout rows
+//! with order-insensitive `min`s, and re-derives order-sensitive scalars
+//! (like the IO reference latency) deterministically. `TimingReport`
+//! equality — including WNS/TNS floats and critical-path backtraces — is
+//! asserted across the whole 29-change paper ECO history in
 //! `tests/sta_incremental.rs`.
 //!
 //! When an edit's cones grow past a configurable fraction of the graph
@@ -50,8 +52,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use camsoc_netlist::compiled::{CompiledNetlist, CLOCK_PIN};
 use camsoc_netlist::eco::{ConnectivityEdit, EditDelta};
-use camsoc_netlist::graph::{InstanceId, NetDriver, NetId, Netlist};
+use camsoc_netlist::graph::{InstanceId, NetId, Netlist};
 use camsoc_netlist::tech::Technology;
 
 use crate::analysis::{Annotation, Sta, StaError, TimingReport, NEG, POS};
@@ -71,22 +74,23 @@ pub struct UpdateStats {
     /// `evaluated / full_evaluated` — the dirty-cone fraction (`0.0`
     /// when the combinational graph is empty).
     pub cone_fraction: f64,
-    /// True when the cone exceeded the threshold and the engine fell
-    /// back to a full re-annotation.
+    /// True when the cone exceeded the threshold, or the snapshot
+    /// refused the delta, and the engine ran a full re-annotation.
     pub used_full: bool,
-    /// Levelization slots reassigned by the incremental order repair
-    /// (including newly appended instances). Zero for edits that do not
-    /// change connectivity; O(affected region) otherwise.
+    /// Instances whose logic level the snapshot patch recomputed
+    /// ([`PatchStats::levels_recomputed`](camsoc_netlist::compiled::PatchStats)).
+    /// Zero for edits that move no pin; O(affected region) otherwise.
     pub order_reordered: usize,
-    /// Fanout map/count entries patched from the connectivity journal.
-    /// O(edits), independent of netlist size, on the journal path.
+    /// Fanout-row entries the snapshot patch inserted or moved
+    /// ([`PatchStats::fanout_entries_patched`](camsoc_netlist::compiled::PatchStats)).
+    /// O(edits), independent of netlist size.
     pub fanout_patched: usize,
     /// Per-net endpoint requirements recomputed (nets whose flop
     /// readers or capture periods changed).
     pub endpoints_recomputed: usize,
-    /// True when the persistent derived structures (order, fanout,
-    /// endpoint requirements) were re-derived from scratch instead of
-    /// patched — the O(netlist) bookkeeping path.
+    /// True when a persistent structure (the snapshot, or the endpoint
+    /// requirements) was re-derived from scratch instead of patched —
+    /// the O(netlist) bookkeeping path.
     pub structures_rebuilt: bool,
 }
 
@@ -150,15 +154,11 @@ pub struct IncrementalSta {
     macro_timing: HashMap<String, MacroTiming>,
     max_cone_fraction: f64,
     ann: Annotation,
-    /// Live fanout structures, patched from the connectivity journal.
-    fanout_counts: Vec<usize>,
-    fanout_map: Vec<Vec<(InstanceId, usize)>>,
+    /// Snapshot of the netlist last timed, patched from the journal.
+    cn: CompiledNetlist,
     /// Live per-net endpoint requirement and its flop-independent part.
     endpoint_req: Vec<f64>,
     static_endpoint_req: Vec<f64>,
-    /// Instance → index in `ann.order` (`usize::MAX` for sequential
-    /// instances, which are not levelized).
-    pos: Vec<usize>,
     /// Non-tie combinational instance count (the forward half of a full
     /// evaluation), maintained incrementally.
     nontie_comb: usize,
@@ -173,7 +173,6 @@ pub struct IncrementalSta {
     inst_mark: Vec<u32>,
     net_mark: Vec<u32>,
     epoch: u32,
-    num_instances: usize,
     /// Nets whose wire delay changed via [`IncrementalSta::set_wire_delays`],
     /// pending the next update.
     pending_dirty_nets: BTreeSet<NetId>,
@@ -190,41 +189,26 @@ impl<'a> Sta<'a> {
     ///
     /// Same as [`Sta::analyze`].
     pub fn into_incremental(self) -> Result<(IncrementalSta, TimingReport), StaError> {
-        let ann = self.annotate()?;
+        let (cn, ann) = self.annotate_snapshot()?;
         let report = self.report_from(&ann);
-        let endpoint_req = self.endpoint_required(&ann.flop_clock, ann.default_period);
-        let static_endpoint_req = self.static_endpoint_required(ann.default_period);
         let full = ann.evaluated();
-        let num_instances = self.nl.num_instances();
-        let mut pos = vec![usize::MAX; num_instances];
-        for (i, &id) in ann.order.iter().enumerate() {
-            pos[id.index()] = i;
-        }
-        let nontie_comb = ann
-            .order
-            .iter()
-            .filter(|id| !self.nl.instance(**id).function().is_tie())
-            .count();
-        let inc = IncrementalSta {
+        let mut inc = IncrementalSta {
             constraints: self.constraints.clone(),
             corner: self.corner,
             clock_latency_ns: self.clock_latency_ns.clone(),
             wire_delays_ns: self.wire_delays_ns.clone(),
             macro_timing: self.macro_timing.clone(),
             max_cone_fraction: 0.75,
-            fanout_counts: self.nl.fanout_counts(),
-            fanout_map: self.nl.fanout_map(),
-            endpoint_req,
-            static_endpoint_req,
-            pos,
-            nontie_comb,
+            ann,
+            cn,
+            endpoint_req: Vec::new(),
+            static_endpoint_req: Vec::new(),
+            nontie_comb: 0,
             io_reference_ns: self.io_reference_ns(),
             clock_ports: self.clock_port_nets(),
-            inst_mark: vec![0; num_instances],
-            net_mark: vec![0; self.nl.num_nets()],
+            inst_mark: Vec::new(),
+            net_mark: Vec::new(),
             epoch: 0,
-            ann,
-            num_instances,
             pending_dirty_nets: BTreeSet::new(),
             stats: UpdateStats {
                 evaluated: full,
@@ -237,7 +221,16 @@ impl<'a> Sta<'a> {
                 structures_rebuilt: true,
             },
         };
+        inc.derive_structures(&self);
         Ok((inc, report))
+    }
+
+    /// Compile the netlist and annotate it over the snapshot.
+    fn annotate_snapshot(&self) -> Result<(CompiledNetlist, Annotation), StaError> {
+        let cn = self.compile_netlist()?;
+        let flop_clock = self.flop_clock_map()?;
+        let ann = self.annotate_with_compiled(&cn, flop_clock);
+        Ok((cn, ann))
     }
 }
 
@@ -252,6 +245,14 @@ impl IncrementalSta {
     /// The live annotation (current arrivals/required times).
     pub fn annotation(&self) -> &Annotation {
         &self.ann
+    }
+
+    /// The compiled snapshot of the netlist most recently timed (the
+    /// baseline, or the last [`IncrementalSta::update`]). Hand it to
+    /// [`multi_corner::signoff_on`](crate::multi_corner::signoff_on) to
+    /// sign off the same netlist without compiling it again.
+    pub fn compiled(&self) -> &CompiledNetlist {
+        &self.cn
     }
 
     /// Cost accounting for the most recent update (the baseline counts
@@ -288,21 +289,20 @@ impl IncrementalSta {
     /// `delta` is the touched-net/instance set from
     /// [`EcoSession::take_delta`](camsoc_netlist::eco::EcoSession::take_delta)
     /// (plus anything queued by [`IncrementalSta::set_wire_delays`]).
-    /// Arrivals are recomputed over the forward fanout cone of the
-    /// frontier, required times over the backward fanin cone; if the
-    /// combined cone exceeds the configured fraction of the graph the
-    /// engine runs a full re-annotation instead.
-    ///
-    /// When the delta carries a connectivity journal that explains the
-    /// netlist's current shape, all derived-structure bookkeeping is
-    /// O(edits + cone); otherwise the structures are re-derived
-    /// (bit-identical, but O(netlist) — see
-    /// [`UpdateStats::structures_rebuilt`]).
+    /// The delta's connectivity journal first brings the compiled
+    /// snapshot up to date. Arrivals are then recomputed over the
+    /// forward fanout cone of the frontier, required times over the
+    /// backward fanin cone; if the combined cone exceeds the configured
+    /// fraction of the graph the engine runs a full re-annotation
+    /// instead. A journal the snapshot refuses recompiles and
+    /// re-annotates (see [`UpdateStats::structures_rebuilt`]).
     ///
     /// # Errors
     ///
     /// Same as [`Sta::analyze`] (the edit may have introduced a
-    /// combinational cycle or an unclocked flop).
+    /// combinational cycle or an unclocked flop). After an error the
+    /// engine's state is unspecified: build a new one with
+    /// [`Sta::into_incremental`].
     ///
     /// # Panics
     ///
@@ -342,8 +342,33 @@ impl IncrementalSta {
     fn update_inner(&mut self, sta: &Sta<'_>, delta: &EditDelta) -> Result<TimingReport, StaError> {
         let nl = sta.nl;
         let n = nl.num_nets();
-        let num_inst = nl.num_instances();
-        let old_n = self.fanout_counts.len();
+
+        // ---- Bring the snapshot up to date from the journal ----------
+        let Some(patch) = self.cn.patch(nl, delta) else {
+            // The journal does not explain the netlist and may have left
+            // the snapshot half-patched: recompile and re-annotate.
+            let (cn, ann) = sta.annotate_snapshot()?;
+            let report = sta.report_from(&ann);
+            self.cn = cn;
+            self.ann = ann;
+            self.derive_structures(sta);
+            self.pending_dirty_nets.clear();
+            self.stats = UpdateStats {
+                evaluated: self.ann.evaluated,
+                full_evaluated: self.ann.evaluated,
+                cone_fraction: 1.0,
+                used_full: true,
+                order_reordered: self.ann.order.len(),
+                fanout_patched: 0,
+                endpoints_recomputed: n,
+                structures_rebuilt: true,
+            };
+            return Ok(report);
+        };
+        if patch.levels_recomputed > 0 {
+            self.ann.order.clear();
+            self.ann.order.extend_from_slice(self.cn.topo_order());
+        }
 
         // Grow per-net/per-instance state; new entries start untimed.
         self.ann.at_max.resize(n, NEG);
@@ -351,155 +376,45 @@ impl IncrementalSta {
         self.ann.req_max.resize(n, POS);
         self.ann.pred.resize(n, None);
         self.ann.start_label.resize(n, None);
-        self.inst_mark.resize(num_inst, 0);
+        self.endpoint_req.resize(n, POS);
+        self.static_endpoint_req.resize(n, POS);
+        self.inst_mark.resize(nl.num_instances(), 0);
         self.net_mark.resize(n, 0);
-        self.pos.resize(num_inst, usize::MAX);
 
-        let mut order_reordered = 0usize;
-        let mut fanout_patched = 0usize;
         let mut endpoints_recomputed = 0usize;
-        let mut structures_rebuilt = false;
-
         let mut dirty_gates: BTreeSet<InstanceId> = BTreeSet::new();
         let mut reseed_nets: BTreeSet<NetId> = BTreeSet::new();
         let mut bseeds: BTreeSet<NetId> = BTreeSet::new();
 
-        let classify_net = |net: NetId,
-                            dirty_gates: &mut BTreeSet<InstanceId>,
-                            reseed_nets: &mut BTreeSet<NetId>| {
-            match nl.net(net).driver {
-                Some(NetDriver::Instance(id)) if !nl.instance(id).function().is_sequential() => {
-                    dirty_gates.insert(id);
-                }
-                _ => {
-                    // launch points (ports, flops, macros), latch
-                    // outputs and undriven nets are re-seeded
-                    reseed_nets.insert(net);
-                }
-            }
-        };
-
-        // The journal path is only sound when the journal explains the
-        // netlist's growth since our structures were last synced.
-        let dims_explained = old_n + delta.added_nets() == n
-            && self.num_instances + delta.added_instances() == num_inst;
-        let patched = dims_explained
-            && match delta.patch_fanout(nl, &mut self.fanout_counts, &mut self.fanout_map) {
-                Some(p) => {
-                    fanout_patched = p;
-                    true
-                }
-                None => {
-                    // The journal does not replay against our structures
-                    // (stale baseline, hand-built delta) and may have
-                    // left them half-patched — rebuild everything.
-                    let report = self.rebuild_full(sta)?;
-                    self.pending_dirty_nets.clear();
-                    self.stats = UpdateStats {
-                        evaluated: self.ann.evaluated,
-                        full_evaluated: self.ann.evaluated,
-                        cone_fraction: 1.0,
-                        used_full: true,
-                        order_reordered: self.ann.order.len(),
-                        fanout_patched: 0,
-                        endpoints_recomputed: n,
-                        structures_rebuilt: true,
-                    };
-                    return Ok(report);
-                }
-            };
-
-        if patched {
-            // ---- O(edits) bookkeeping from the connectivity journal --
-            self.endpoint_req.resize(n, POS);
-            self.static_endpoint_req.resize(n, POS);
-            // New combinational instances join the tail of the order;
-            // instances whose pins moved may now violate it.
-            let mut touched: BTreeSet<InstanceId> = BTreeSet::new();
-            for e in &delta.edits {
-                match *e {
-                    ConnectivityEdit::AddInstance { inst } => {
-                        let f = nl.instance(inst).function();
-                        if !f.is_sequential() {
-                            self.pos[inst.index()] = self.ann.order.len();
-                            self.ann.order.push(inst);
-                            if !f.is_tie() {
-                                self.nontie_comb += 1;
-                            }
-                            order_reordered += 1;
-                            touched.insert(inst);
-                        }
+        // ---- Edit frontier -------------------------------------------
+        // Pins that moved change the fanout (hence the load delay) of
+        // the nets they left and joined.
+        for e in &delta.edits {
+            match *e {
+                ConnectivityEdit::AddInstance { inst } => {
+                    let f = self.cn.function(inst);
+                    if !f.is_sequential() && !f.is_tie() {
+                        self.nontie_comb += 1;
                     }
-                    ConnectivityEdit::RewireInput { inst, from, to, .. } => {
-                        if self.pos[inst.index()] != usize::MAX {
-                            touched.insert(inst);
-                        }
-                        for net in [from, to] {
-                            classify_net(net, &mut dirty_gates, &mut reseed_nets);
-                            bseeds.insert(net);
-                        }
-                    }
-                    ConnectivityEdit::Connect { inst, net, .. } => {
-                        if self.pos[inst.index()] != usize::MAX {
-                            touched.insert(inst);
-                        }
-                        classify_net(net, &mut dirty_gates, &mut reseed_nets);
+                }
+                ConnectivityEdit::RewireInput { from, to, .. } => {
+                    for net in [from, to] {
+                        classify_net(&self.cn, net, &mut dirty_gates, &mut reseed_nets);
                         bseeds.insert(net);
                     }
-                    ConnectivityEdit::MoveOutput { inst, .. } => {
-                        if self.pos[inst.index()] != usize::MAX {
-                            touched.insert(inst);
-                        }
-                    }
-                    ConnectivityEdit::AddNet { .. } => {}
                 }
-            }
-            order_reordered += self.repair_order(nl, &touched)?;
-        } else {
-            // ---- Unexplained delta: legacy O(netlist) re-derivation --
-            // The old structures are untouched (the dims check rejects
-            // before any patching), so diffing against them is sound.
-            structures_rebuilt = true;
-            self.ann.flop_clock = sta.flop_clock_map()?;
-            self.rebuild_order_full(nl)?;
-            order_reordered = self.ann.order.len();
-            let new_fanout = nl.fanout_counts();
-            let new_map = nl.fanout_map();
-            let new_endpoint_req =
-                sta.endpoint_required(&self.ann.flop_clock, self.ann.default_period);
-            // Fanout-count diffs catch indirect load changes (cell delay
-            // and estimated wire delay both scale with fanout).
-            for (i, &count) in new_fanout.iter().enumerate() {
-                let old = if i < old_n { self.fanout_counts[i] } else { usize::MAX };
-                if count != old {
-                    let net = NetId(i as u32);
-                    classify_net(net, &mut dirty_gates, &mut reseed_nets);
+                ConnectivityEdit::Connect { net, .. } => {
+                    classify_net(&self.cn, net, &mut dirty_gates, &mut reseed_nets);
                     bseeds.insert(net);
                 }
+                ConnectivityEdit::MoveOutput { .. } | ConnectivityEdit::AddNet { .. } => {}
             }
-            // Direct endpoint-constraint changes (new flop D pins,
-            // retimed capture clocks) seed the backward pass.
-            for (i, &req) in new_endpoint_req.iter().enumerate() {
-                let old = if i < self.endpoint_req.len() { self.endpoint_req[i] } else { POS };
-                if req != old {
-                    bseeds.insert(NetId(i as u32));
-                }
-            }
-            fanout_patched = new_map.iter().map(Vec::len).sum();
-            endpoints_recomputed = n;
-            self.fanout_counts = new_fanout;
-            self.fanout_map = new_map;
-            self.endpoint_req = new_endpoint_req;
-            self.static_endpoint_req = sta.static_endpoint_required(self.ann.default_period);
         }
-
-        // ---- Edit frontier shared by both paths ----------------------
         // Edited instances: combinational gates re-evaluate; sequential
         // outputs re-seed.
         for &id in &delta.instances {
-            let inst = nl.instance(id);
-            if inst.function().is_sequential() {
-                reseed_nets.insert(inst.output);
+            if self.cn.is_sequential(id) {
+                reseed_nets.insert(self.cn.output(id));
             } else {
                 dirty_gates.insert(id);
             }
@@ -509,109 +424,104 @@ impl IncrementalSta {
             if net.index() >= n {
                 continue; // defensive: stale id from a dropped edit
             }
-            classify_net(net, &mut dirty_gates, &mut reseed_nets);
+            classify_net(&self.cn, net, &mut dirty_gates, &mut reseed_nets);
             bseeds.insert(net);
         }
         self.pending_dirty_nets.clear();
 
         // ---- Forward cone: gates whose arrival can move --------------
-        let (mut fcone, fwd_evals) = self.collect_fcone(nl, &dirty_gates, &reseed_nets);
+        let (mut fcone, fwd_evals) = self.collect_fcone(&dirty_gates, &reseed_nets);
 
-        if patched {
-            // ---- Clock retrace confined to the affected subtree ------
-            // A flop's capture period can only change if its clock pin
-            // moved, or some net on its clock trace changed driver —
-            // and every changed clock-tree gate is in the forward cone.
-            let mut retrace: BTreeSet<InstanceId> = BTreeSet::new();
-            for e in &delta.edits {
-                match *e {
-                    ConnectivityEdit::AddInstance { inst }
-                        if nl.instance(inst).function().is_flop() =>
-                    {
-                        retrace.insert(inst);
-                    }
-                    ConnectivityEdit::MoveOutput { from, to, .. } => {
-                        self.clock_readers_into(nl, from, &mut retrace);
-                        self.clock_readers_into(nl, to, &mut retrace);
-                    }
-                    _ => {}
+        // ---- Clock retrace confined to the affected subtree ----------
+        // A flop's capture period can only change if its clock pin
+        // moved, or some net on its clock trace changed driver — and
+        // every changed clock-tree gate is in the forward cone.
+        let mut retrace: BTreeSet<InstanceId> = BTreeSet::new();
+        for e in &delta.edits {
+            match *e {
+                ConnectivityEdit::AddInstance { inst } if self.cn.function(inst).is_flop() => {
+                    retrace.insert(inst);
+                }
+                ConnectivityEdit::MoveOutput { from, to, .. } => {
+                    self.clock_readers_into(from, &mut retrace);
+                    self.clock_readers_into(to, &mut retrace);
+                }
+                _ => {}
+            }
+        }
+        for &net in &delta.nets {
+            if net.index() < n {
+                self.clock_readers_into(net, &mut retrace);
+            }
+        }
+        for &id in &fcone {
+            self.clock_readers_into(self.cn.output(id), &mut retrace);
+        }
+        let mut period_changed: Vec<InstanceId> = Vec::new();
+        if !retrace.is_empty() {
+            if sta.constraints.clocks.is_empty() {
+                return Err(StaError::NoClock);
+            }
+            let port_clock = sta.port_clock_map();
+            for &f in &retrace {
+                let inst = nl.instance(f);
+                let clk_net =
+                    inst.clock.ok_or_else(|| StaError::UnclockedFlop(inst.name.clone()))?;
+                let clock = sta
+                    .trace_clock_with(&port_clock, clk_net)
+                    .ok_or_else(|| StaError::UnclockedFlop(inst.name.clone()))?;
+                if self.ann.flop_clock.get(&f) != Some(&clock.period_ns) {
+                    self.ann.flop_clock.insert(f, clock.period_ns);
+                    period_changed.push(f);
                 }
             }
-            for &net in &delta.nets {
-                if net.index() < n {
-                    self.clock_readers_into(nl, net, &mut retrace);
-                }
-            }
-            for &id in &fcone {
-                self.clock_readers_into(nl, nl.instance(id).output, &mut retrace);
-            }
-            let mut period_changed: Vec<InstanceId> = Vec::new();
-            if !retrace.is_empty() {
-                if sta.constraints.clocks.is_empty() {
-                    return Err(StaError::NoClock);
-                }
-                let port_clock = sta.port_clock_map();
-                for &f in &retrace {
-                    let inst = nl.instance(f);
-                    let clk_net = inst
-                        .clock
-                        .ok_or_else(|| StaError::UnclockedFlop(inst.name.clone()))?;
-                    let clock = sta
-                        .trace_clock_with(&port_clock, clk_net)
-                        .ok_or_else(|| StaError::UnclockedFlop(inst.name.clone()))?;
-                    if self.ann.flop_clock.get(&f) != Some(&clock.period_ns) {
-                        self.ann.flop_clock.insert(f, clock.period_ns);
-                        period_changed.push(f);
-                    }
-                }
-            }
+        }
 
-            // ---- Endpoint requirements: recompute dirtied nets only --
-            let mut ep_dirty: BTreeSet<NetId> = BTreeSet::new();
-            for e in &delta.edits {
-                match *e {
-                    ConnectivityEdit::RewireInput { inst, from, to, .. }
-                        if nl.instance(inst).function().is_flop() =>
-                    {
-                        ep_dirty.insert(from);
-                        ep_dirty.insert(to);
-                    }
-                    ConnectivityEdit::Connect { inst, pin, net }
-                        if pin != usize::MAX && nl.instance(inst).function().is_flop() =>
-                    {
-                        ep_dirty.insert(net);
-                    }
-                    _ => {}
+        // ---- Endpoint requirements: recompute dirtied nets only ------
+        let mut ep_dirty: BTreeSet<NetId> = BTreeSet::new();
+        for e in &delta.edits {
+            match *e {
+                ConnectivityEdit::RewireInput { inst, from, to, .. }
+                    if self.cn.function(inst).is_flop() =>
+                {
+                    ep_dirty.insert(from);
+                    ep_dirty.insert(to);
                 }
-            }
-            for &f in &period_changed {
-                ep_dirty.extend(nl.instance(f).inputs.iter().copied());
-            }
-            for &net in &ep_dirty {
-                endpoints_recomputed += 1;
-                let req = sta.endpoint_required_for(
-                    net,
-                    self.static_endpoint_req[net.index()],
-                    &self.fanout_map,
-                    &self.ann.flop_clock,
-                    self.ann.default_period,
-                );
-                if self.endpoint_req[net.index()] != req {
-                    self.endpoint_req[net.index()] = req;
-                    bseeds.insert(net);
+                ConnectivityEdit::Connect { inst, pin, net }
+                    if pin != usize::MAX && self.cn.function(inst).is_flop() =>
+                {
+                    ep_dirty.insert(net);
                 }
+                _ => {}
+            }
+        }
+        for &f in &period_changed {
+            ep_dirty.extend(self.cn.fanin(f).iter().map(|&raw| NetId(raw)));
+        }
+        for &net in &ep_dirty {
+            endpoints_recomputed += 1;
+            let req = sta.endpoint_required_for(
+                &self.cn,
+                net,
+                self.static_endpoint_req[net.index()],
+                &self.ann.flop_clock,
+                self.ann.default_period,
+            );
+            if self.endpoint_req[net.index()] != req {
+                self.endpoint_req[net.index()] = req;
+                bseeds.insert(net);
             }
         }
 
         // A gate with a changed delay shifts the required time of its
         // input nets.
         for &id in &dirty_gates {
-            bseeds.extend(nl.instance(id).inputs.iter().copied());
+            bseeds.extend(self.cn.fanin(id).iter().map(|&raw| NetId(raw)));
         }
         bseeds.extend(reseed_nets.iter().copied());
 
         // ---- Backward cone: nets whose required time can move --------
-        let bcone = self.collect_bcone(nl, &bseeds);
+        let bcone = self.collect_bcone(&bseeds);
 
         // ---- Fallback decision ---------------------------------------
         let full_evaluated = self.nontie_comb + n;
@@ -621,20 +531,29 @@ impl IncrementalSta {
         } else {
             0.0
         };
+        let stats = UpdateStats {
+            evaluated,
+            full_evaluated,
+            cone_fraction,
+            used_full: false,
+            order_reordered: patch.levels_recomputed,
+            fanout_patched: patch.fanout_entries_patched,
+            endpoints_recomputed,
+            structures_rebuilt: false,
+        };
 
         if cone_fraction > self.max_cone_fraction {
-            let report = self.rebuild_full(sta)?;
+            // The snapshot is current; re-annotate over it.
+            let flop_clock = sta.flop_clock_map()?;
+            self.ann = sta.annotate_with_compiled(&self.cn, flop_clock);
+            self.derive_structures(sta);
             self.stats = UpdateStats {
                 evaluated: self.ann.evaluated,
-                full_evaluated,
-                cone_fraction,
                 used_full: true,
-                order_reordered,
-                fanout_patched,
-                endpoints_recomputed,
                 structures_rebuilt: true,
+                ..stats
             };
-            return Ok(report);
+            return Ok(sta.report_from(&self.ann));
         }
 
         // ---- Re-seed launch points -----------------------------------
@@ -651,11 +570,11 @@ impl IncrementalSta {
         }
 
         // ---- Forward: re-evaluate the fanout cone in level order -----
-        fcone.sort_unstable_by_key(|id| self.pos[id.index()]);
+        fcone.sort_unstable_by_key(|&id| (self.cn.level(id), id));
         for &id in &fcone {
-            sta.eval_forward(
+            sta.eval_forward_compiled(
+                &self.cn,
                 id,
-                &self.fanout_counts,
                 &mut self.ann.at_max,
                 &mut self.ann.at_min,
                 &mut self.ann.pred,
@@ -665,54 +584,42 @@ impl IncrementalSta {
         // ---- Backward: re-evaluate the fanin cone against the level
         // order, mirroring the full pass (gate outputs in reverse topo
         // order, then source nets in index order). A reader's output
-        // net always has a later driver position than the net it reads,
-        // so descending position finalizes readers before drivers. ----
-        let mut gate_nets: Vec<(usize, NetId)> = Vec::new();
+        // net always has a higher-levelled driver than the net it
+        // reads, so descending `(level, id)` finalizes readers before
+        // drivers. ----
+        let mut gate_nets: Vec<((usize, InstanceId), NetId)> = Vec::new();
         let mut source_nets: Vec<NetId> = Vec::new();
         for &net in &bcone {
-            match nl.net(net).driver {
-                Some(NetDriver::Instance(d)) if self.pos[d.index()] != usize::MAX => {
-                    gate_nets.push((self.pos[d.index()], net));
+            match self.cn.driver_instance(net) {
+                Some(d) if !self.cn.is_sequential(d) => {
+                    gate_nets.push(((self.cn.level(d), d), net));
                 }
                 _ => source_nets.push(net),
             }
         }
         gate_nets.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         source_nets.sort_unstable();
-        for &(_, net) in &gate_nets {
-            let req = sta.eval_required(
-                net,
-                &self.fanout_map,
-                &self.fanout_counts,
-                &self.endpoint_req,
-                &self.ann.req_max,
-            );
-            self.ann.req_max[net.index()] = req;
-        }
-        for &net in &source_nets {
-            let req = sta.eval_required(
-                net,
-                &self.fanout_map,
-                &self.fanout_counts,
-                &self.endpoint_req,
-                &self.ann.req_max,
-            );
+        for net in gate_nets.iter().map(|&(_, net)| net).chain(source_nets) {
+            let req =
+                sta.eval_required_compiled(&self.cn, net, &self.endpoint_req, &self.ann.req_max);
             self.ann.req_max[net.index()] = req;
         }
 
         self.ann.evaluated = evaluated;
-        self.num_instances = num_inst;
-        self.stats = UpdateStats {
-            evaluated,
-            full_evaluated,
-            cone_fraction,
-            used_full: false,
-            order_reordered,
-            fanout_patched,
-            endpoints_recomputed,
-            structures_rebuilt,
-        };
+        self.stats = stats;
         Ok(sta.report_from(&self.ann))
+    }
+
+    /// Re-derive every structure that follows from the snapshot and
+    /// the annotation: endpoint requirements, the non-tie count and the
+    /// scratch marks.
+    fn derive_structures(&mut self, sta: &Sta<'_>) {
+        self.endpoint_req = sta.endpoint_required(&self.ann.flop_clock, self.ann.default_period);
+        self.static_endpoint_req = sta.static_endpoint_required(self.ann.default_period);
+        self.nontie_comb =
+            self.cn.topo_order().iter().filter(|&&id| !self.cn.function(id).is_tie()).count();
+        self.inst_mark.resize(self.cn.num_instances(), 0);
+        self.net_mark.resize(self.cn.num_nets(), 0);
     }
 
     /// Invalidate all scratch marks in O(1) and return the fresh epoch.
@@ -729,67 +636,46 @@ impl IncrementalSta {
     /// Collect the forward fanout cone of the edit frontier: every
     /// combinational gate whose arrival can move. Returns the members
     /// and the non-tie count (the forward evaluation cost).
-    #[allow(clippy::needless_range_loop)]
     fn collect_fcone(
         &mut self,
-        nl: &Netlist,
         dirty_gates: &BTreeSet<InstanceId>,
         reseed_nets: &BTreeSet<NetId>,
     ) -> (Vec<InstanceId>, usize) {
         let mark = self.bump_epoch();
+        let cn = &self.cn;
+        let inst_mark = &mut self.inst_mark;
         let mut members: Vec<InstanceId> = Vec::new();
-        let mut stack: Vec<InstanceId> = Vec::new();
         let mut nontie = 0usize;
-        for &id in dirty_gates {
-            if self.inst_mark[id.index()] != mark {
-                self.inst_mark[id.index()] = mark;
-                if !nl.instance(id).function().is_tie() {
+        let mut visit = |id: InstanceId, stack: &mut Vec<InstanceId>| {
+            if inst_mark[id.index()] != mark {
+                inst_mark[id.index()] = mark;
+                if !cn.function(id).is_tie() {
                     nontie += 1;
                 }
                 members.push(id);
                 stack.push(id);
             }
+        };
+        // Clock pins are skipped (launch times don't follow data), and so
+        // are flop D pins (their arrival doesn't move the Q launch).
+        let data_readers = |net: NetId| {
+            cn.fanout(net)
+                .iter()
+                .map(|&(reader, pin)| (InstanceId(reader), pin))
+                .filter(|&(reader, pin)| pin != CLOCK_PIN && !cn.is_sequential(reader))
+        };
+        let mut stack: Vec<InstanceId> = Vec::new();
+        for &id in dirty_gates {
+            visit(id, &mut stack);
         }
         for &net in reseed_nets {
-            let ni = net.index();
-            for k in 0..self.fanout_map[ni].len() {
-                let (reader, pin) = self.fanout_map[ni][k];
-                if pin == usize::MAX {
-                    continue; // clock pin: launch times don't follow data
-                }
-                let f = nl.instance(reader).function();
-                if f.is_sequential() {
-                    continue; // D-pin arrival doesn't move the Q launch
-                }
-                if self.inst_mark[reader.index()] != mark {
-                    self.inst_mark[reader.index()] = mark;
-                    if !f.is_tie() {
-                        nontie += 1;
-                    }
-                    members.push(reader);
-                    stack.push(reader);
-                }
+            for (reader, _) in data_readers(net) {
+                visit(reader, &mut stack);
             }
         }
         while let Some(id) = stack.pop() {
-            let ni = nl.instance(id).output.index();
-            for k in 0..self.fanout_map[ni].len() {
-                let (reader, pin) = self.fanout_map[ni][k];
-                if pin == usize::MAX {
-                    continue;
-                }
-                let f = nl.instance(reader).function();
-                if f.is_sequential() {
-                    continue;
-                }
-                if self.inst_mark[reader.index()] != mark {
-                    self.inst_mark[reader.index()] = mark;
-                    if !f.is_tie() {
-                        nontie += 1;
-                    }
-                    members.push(reader);
-                    stack.push(reader);
-                }
+            for (reader, _) in data_readers(cn.output(id)) {
+                visit(reader, &mut stack);
             }
         }
         (members, nontie)
@@ -798,7 +684,7 @@ impl IncrementalSta {
     /// Collect the backward fanin cone of the seed nets: every net
     /// whose required time can move. Required times stop at launch
     /// points (sequential drivers).
-    fn collect_bcone(&mut self, nl: &Netlist, bseeds: &BTreeSet<NetId>) -> Vec<NetId> {
+    fn collect_bcone(&mut self, bseeds: &BTreeSet<NetId>) -> Vec<NetId> {
         let mark = self.bump_epoch();
         let mut members: Vec<NetId> = Vec::new();
         let mut stack: Vec<NetId> = Vec::new();
@@ -810,17 +696,15 @@ impl IncrementalSta {
             }
         }
         while let Some(net) = stack.pop() {
-            if let Some(NetDriver::Instance(id)) = nl.net(net).driver {
-                let inst = nl.instance(id);
-                if inst.function().is_sequential() {
-                    continue;
-                }
-                for &input in &inst.inputs {
-                    if self.net_mark[input.index()] != mark {
-                        self.net_mark[input.index()] = mark;
-                        members.push(input);
-                        stack.push(input);
-                    }
+            let Some(id) = self.cn.driver_instance(net) else { continue };
+            if self.cn.is_sequential(id) {
+                continue;
+            }
+            for &raw in self.cn.fanin(id) {
+                if self.net_mark[raw as usize] != mark {
+                    self.net_mark[raw as usize] = mark;
+                    members.push(NetId(raw));
+                    stack.push(NetId(raw));
                 }
             }
         }
@@ -828,227 +712,31 @@ impl IncrementalSta {
     }
 
     /// Flops reading `net` through their clock pin.
-    fn clock_readers_into(&self, nl: &Netlist, net: NetId, out: &mut BTreeSet<InstanceId>) {
-        for &(reader, pin) in &self.fanout_map[net.index()] {
-            if pin == usize::MAX && nl.instance(reader).function().is_flop() {
-                out.insert(reader);
+    fn clock_readers_into(&self, net: NetId, out: &mut BTreeSet<InstanceId>) {
+        for &(reader, pin) in self.cn.fanout(net) {
+            if pin == CLOCK_PIN && self.cn.function(InstanceId(reader)).is_flop() {
+                out.insert(InstanceId(reader));
             }
         }
     }
+}
 
-    /// Restore the topological invariant after the journal changed
-    /// edges on `touched` instances, reordering only the affected
-    /// region (Pearce–Kelly). Returns the number of order slots
-    /// reassigned.
-    ///
-    /// Repairing one violated edge preserves every satisfied edge, so a
-    /// pass over the touched instances converges; a second pass
-    /// verifies. The pass cap is a safety valve for cycles that evade
-    /// local detection — the full Kahn rebuild then produces the
-    /// canonical cycle error.
-    fn repair_order(
-        &mut self,
-        nl: &Netlist,
-        touched: &BTreeSet<InstanceId>,
-    ) -> Result<usize, StaError> {
-        const MAX_PASSES: usize = 32;
-        let mut moved_total = 0usize;
-        for _ in 0..MAX_PASSES {
-            let mut clean = true;
-            for &t in touched {
-                if self.pos[t.index()] == usize::MAX {
-                    continue;
-                }
-                // in-edges: every driver must precede t
-                for pin in 0..nl.instance(t).inputs.len() {
-                    let inp = nl.instance(t).inputs[pin];
-                    if let Some(NetDriver::Instance(d)) = nl.net(inp).driver {
-                        if d == t {
-                            return Err(Self::order_error(nl)); // self-loop
-                        }
-                        let dp = self.pos[d.index()];
-                        if dp != usize::MAX && dp > self.pos[t.index()] {
-                            moved_total += self.repair_edge(nl, d, t)?;
-                            clean = false;
-                        }
-                    }
-                }
-                // out-edges: t must precede every combinational reader
-                let o = nl.instance(t).output.index();
-                for k in 0..self.fanout_map[o].len() {
-                    let (r, pin) = self.fanout_map[o][k];
-                    if pin == usize::MAX {
-                        continue;
-                    }
-                    if r == t {
-                        return Err(Self::order_error(nl)); // self-loop
-                    }
-                    let rp = self.pos[r.index()];
-                    if rp != usize::MAX && self.pos[t.index()] > rp {
-                        moved_total += self.repair_edge(nl, t, r)?;
-                        clean = false;
-                    }
-                }
-            }
-            if clean {
-                return Ok(moved_total);
-            }
+/// Sort one edited net into the frontier: a combinational driver
+/// re-evaluates; launch points (ports, flops, macros), latch outputs
+/// and undriven nets re-seed.
+fn classify_net(
+    cn: &CompiledNetlist,
+    net: NetId,
+    dirty_gates: &mut BTreeSet<InstanceId>,
+    reseed_nets: &mut BTreeSet<NetId>,
+) {
+    match cn.driver_instance(net) {
+        Some(id) if !cn.is_sequential(id) => {
+            dirty_gates.insert(id);
         }
-        // Did not converge — only possible with a cycle the local
-        // search missed. Kahn canonicalizes the error (or, defensively,
-        // the order).
-        self.rebuild_order_full(nl)?;
-        Ok(moved_total + self.ann.order.len())
-    }
-
-    /// Repair one violated edge `x -> y` (`pos[x] > pos[y]`): find the
-    /// forward region of `y` and the backward region of `x` inside the
-    /// affected position window, and reassign their slots so the
-    /// backward region precedes the forward region. Detects cycles that
-    /// pass through the window.
-    #[allow(clippy::needless_range_loop)]
-    fn repair_edge(
-        &mut self,
-        nl: &Netlist,
-        x: InstanceId,
-        y: InstanceId,
-    ) -> Result<usize, StaError> {
-        let ub = self.pos[x.index()];
-        let lb = self.pos[y.index()];
-        debug_assert!(lb < ub, "repair_edge called on a satisfied edge");
-
-        // Forward region: nodes reachable from y with pos < ub.
-        let fmark = self.bump_epoch();
-        let mut delta_f: Vec<InstanceId> = vec![y];
-        self.inst_mark[y.index()] = fmark;
-        let mut stack: Vec<InstanceId> = vec![y];
-        while let Some(u) = stack.pop() {
-            let o = nl.instance(u).output.index();
-            for k in 0..self.fanout_map[o].len() {
-                let (r, pin) = self.fanout_map[o][k];
-                if pin == usize::MAX {
-                    continue;
-                }
-                if r == x {
-                    return Err(Self::order_error(nl)); // y reaches x: cycle
-                }
-                let rp = self.pos[r.index()];
-                if rp == usize::MAX || rp >= ub {
-                    continue;
-                }
-                if self.inst_mark[r.index()] != fmark {
-                    self.inst_mark[r.index()] = fmark;
-                    delta_f.push(r);
-                    stack.push(r);
-                }
-            }
+        _ => {
+            reseed_nets.insert(net);
         }
-
-        // Backward region: nodes reaching x with pos > lb.
-        let bmark = self.bump_epoch();
-        let mut delta_b: Vec<InstanceId> = vec![x];
-        self.inst_mark[x.index()] = bmark;
-        stack.push(x);
-        while let Some(u) = stack.pop() {
-            for pin in 0..nl.instance(u).inputs.len() {
-                let inp = nl.instance(u).inputs[pin];
-                if let Some(NetDriver::Instance(d)) = nl.net(inp).driver {
-                    let dp = self.pos[d.index()];
-                    if dp == usize::MAX || dp <= lb {
-                        continue;
-                    }
-                    if self.inst_mark[d.index()] == fmark {
-                        // backward region met the forward region: cycle
-                        return Err(Self::order_error(nl));
-                    }
-                    if self.inst_mark[d.index()] != bmark {
-                        self.inst_mark[d.index()] = bmark;
-                        delta_b.push(d);
-                        stack.push(d);
-                    }
-                }
-            }
-        }
-
-        // Reassign: the backward region (in old relative order) takes
-        // the smallest vacated slots, then the forward region. Nodes
-        // outside the two regions keep their positions, so every
-        // satisfied edge stays satisfied.
-        delta_b.sort_unstable_by_key(|u| self.pos[u.index()]);
-        delta_f.sort_unstable_by_key(|u| self.pos[u.index()]);
-        let mut slots: Vec<usize> =
-            delta_b.iter().chain(delta_f.iter()).map(|u| self.pos[u.index()]).collect();
-        slots.sort_unstable();
-        let moved = slots.len();
-        for (slot, &u) in slots.into_iter().zip(delta_b.iter().chain(delta_f.iter())) {
-            self.ann.order[slot] = u;
-            self.pos[u.index()] = slot;
-        }
-        Ok(moved)
-    }
-
-    /// Rebuild the order from scratch (Kahn), the position index, and
-    /// the non-tie count.
-    fn rebuild_order_full(&mut self, nl: &Netlist) -> Result<(), StaError> {
-        self.ann.order = nl.combinational_topo_order().map_err(|e| match e {
-            camsoc_netlist::NetlistError::CombinationalCycle { net } => {
-                StaError::CombinationalCycle(net)
-            }
-            other => StaError::CombinationalCycle(other.to_string()),
-        })?;
-        self.rebuild_pos(nl.num_instances());
-        self.nontie_comb = self
-            .ann
-            .order
-            .iter()
-            .filter(|id| !nl.instance(**id).function().is_tie())
-            .count();
-        Ok(())
-    }
-
-    fn rebuild_pos(&mut self, num_instances: usize) {
-        self.pos.clear();
-        self.pos.resize(num_instances, usize::MAX);
-        for (i, &id) in self.ann.order.iter().enumerate() {
-            self.pos[id.index()] = i;
-        }
-    }
-
-    /// The canonical error for a cycle discovered during order repair:
-    /// delegate to the full Kahn pass so incremental and from-scratch
-    /// analyses report the same net.
-    fn order_error(nl: &Netlist) -> StaError {
-        match nl.combinational_topo_order() {
-            Err(camsoc_netlist::NetlistError::CombinationalCycle { net }) => {
-                StaError::CombinationalCycle(net)
-            }
-            Err(other) => StaError::CombinationalCycle(other.to_string()),
-            Ok(_) => StaError::CombinationalCycle("edit closed a combinational loop".to_string()),
-        }
-    }
-
-    /// Full re-annotation plus re-derivation of every persistent
-    /// structure. The caller sets `stats`.
-    fn rebuild_full(&mut self, sta: &Sta<'_>) -> Result<TimingReport, StaError> {
-        let nl = sta.nl;
-        let ann = sta.annotate()?;
-        let report = sta.report_from(&ann);
-        self.endpoint_req = sta.endpoint_required(&ann.flop_clock, ann.default_period);
-        self.static_endpoint_req = sta.static_endpoint_required(ann.default_period);
-        self.fanout_counts = nl.fanout_counts();
-        self.fanout_map = nl.fanout_map();
-        self.ann = ann;
-        self.num_instances = nl.num_instances();
-        self.inst_mark.resize(nl.num_instances(), 0);
-        self.net_mark.resize(nl.num_nets(), 0);
-        self.rebuild_pos(nl.num_instances());
-        self.nontie_comb = self
-            .ann
-            .order
-            .iter()
-            .filter(|id| !nl.instance(**id).function().is_tie())
-            .count();
-        Ok(report)
     }
 }
 
@@ -1059,6 +747,7 @@ mod tests {
     use camsoc_netlist::cell::{CellFunction, Drive};
     use camsoc_netlist::eco::EcoSession;
     use camsoc_netlist::generate;
+    use camsoc_netlist::graph::NetDriver;
     use camsoc_netlist::tech::TechnologyNode;
 
     fn tech() -> Technology {
@@ -1340,11 +1029,11 @@ mod tests {
     }
 
     #[test]
-    fn journalless_delta_takes_legacy_path() {
+    fn journalless_delta_recompiles_then_resumes_patching() {
         // A delta whose journal was stripped (a foreign delta source
-        // that only reports touched nets) no longer explains the
-        // netlist growth: the engine re-derives its structures but
-        // still patches timing over the cone, bit-identically.
+        // that only reports touched nets) does not explain the netlist
+        // growth: the snapshot refuses it, and the engine recompiles
+        // and re-annotates, bit-identically.
         let t = tech();
         let mut eco = EcoSession::new(two_chains(10));
         let (inc, _) = Sta::new(eco.netlist(), &t, cons()).into_incremental().unwrap();
@@ -1356,15 +1045,39 @@ mod tests {
         let report = inc.update(eco.netlist(), &t, &delta).unwrap();
         assert_matches_full(&inc, &eco, &t, &report);
         let s = *inc.stats();
-        assert!(s.structures_rebuilt && !s.used_full);
-        assert!(s.evaluated < s.full_evaluated);
+        assert!(s.used_full && s.structures_rebuilt);
+        assert_eq!(*inc.compiled(), eco.netlist().compile().unwrap());
 
-        // ... and the journal path resumes on the next edit.
-        let victim = inc.annotation().topo_order()[2];
-        eco.upsize(victim).unwrap();
+        // ... and journal patching resumes on the next edit.
+        let net = eco.netlist().instance(inc.annotation().topo_order()[12]).output;
+        eco.insert_buffer(net, Drive::X4).unwrap();
         let delta = eco.take_delta();
         let report = inc.update(eco.netlist(), &t, &delta).unwrap();
         assert_matches_full(&inc, &eco, &t, &report);
-        assert!(!inc.stats().structures_rebuilt);
+        let s = *inc.stats();
+        assert!(!s.used_full && !s.structures_rebuilt);
+        assert!(s.fanout_patched >= 1);
+        assert_eq!(*inc.compiled(), eco.netlist().compile().unwrap());
+    }
+
+    #[test]
+    fn two_buffers_on_one_net_patch_in_one_update() {
+        // The hold-fix loop buffers a violating net twice before it
+        // takes the delta. On a gate-driven net the second insertion
+        // moves the first buffer's output onto a net the journal only
+        // adds afterwards; the snapshot must still replay the journal.
+        let t = tech();
+        let mut eco = EcoSession::new(two_chains(10));
+        let (inc, _) = Sta::new(eco.netlist(), &t, cons()).into_incremental().unwrap();
+        let mut inc = inc.with_max_cone_fraction(1.0);
+        let net = eco.netlist().instance(inc.annotation().topo_order()[6]).output;
+        eco.insert_buffer(net, Drive::X1).unwrap();
+        eco.insert_buffer(net, Drive::X1).unwrap();
+        let delta = eco.take_delta();
+        let report = inc.update(eco.netlist(), &t, &delta).unwrap();
+        assert_matches_full(&inc, &eco, &t, &report);
+        let s = *inc.stats();
+        assert!(!s.used_full && !s.structures_rebuilt);
+        assert_eq!(*inc.compiled(), eco.netlist().compile().unwrap());
     }
 }

@@ -8,7 +8,9 @@
 //! evaluation order) and the flop→clock resolution (the two fallible,
 //! corner-independent derivations) are computed **once** here and
 //! shared, and each corner's annotate/report pass runs as one
-//! `camsoc-par` work item walking the snapshot's flat arrays.
+//! `camsoc-par` work item walking the snapshot's flat arrays. A caller
+//! that already holds a current snapshot passes it to [`signoff_on`]
+//! instead of compiling again.
 //!
 //! Determinism: each per-corner pass is a pure function of the shared
 //! inputs and its own corner, and [`camsoc_par::map`] merges results in
@@ -38,6 +40,7 @@
 //! # }
 //! ```
 
+use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_par::Parallelism;
 
 use crate::analysis::{Sta, StaError, TimingReport};
@@ -60,11 +63,20 @@ pub fn analyze_corners(
     corners: &[Corner],
     par: Parallelism,
 ) -> Result<Vec<TimingReport>, StaError> {
-    let compiled = base.compile_netlist()?;
+    analyze_on(base, &base.compile_netlist()?, corners, par)
+}
+
+/// [`analyze_corners`] over a snapshot of `base`'s netlist.
+fn analyze_on(
+    base: &Sta<'_>,
+    compiled: &CompiledNetlist,
+    corners: &[Corner],
+    par: Parallelism,
+) -> Result<Vec<TimingReport>, StaError> {
     let flop_clock = base.flop_clock_map()?;
     Ok(camsoc_par::map(par, corners, |corner| {
         let sta = base.at_corner(*corner);
-        let ann = sta.annotate_with_compiled(&compiled, flop_clock.clone());
+        let ann = sta.annotate_with_compiled(compiled, flop_clock.clone());
         sta.report_from(&ann)
     }))
 }
@@ -103,7 +115,35 @@ pub fn signoff(
     fast: Corner,
     par: Parallelism,
 ) -> Result<CornerSignoff, StaError> {
-    let mut reports = analyze_corners(base, &[slow, fast], par)?;
+    signoff_on(base, &base.compile_netlist()?, slow, fast, par)
+}
+
+/// [`signoff`] over a snapshot the caller already holds, such as the
+/// one an [`IncrementalSta`](crate::IncrementalSta) kept current
+/// through an ECO loop, so the netlist is not compiled again.
+///
+/// # Errors
+///
+/// [`StaError::NoClock`] / [`StaError::UnclockedFlop`] from the shared
+/// flop-clock derivation.
+///
+/// # Panics
+///
+/// Panics if `compiled` does not have the netlist's instance and net
+/// counts.
+pub fn signoff_on(
+    base: &Sta<'_>,
+    compiled: &CompiledNetlist,
+    slow: Corner,
+    fast: Corner,
+    par: Parallelism,
+) -> Result<CornerSignoff, StaError> {
+    assert!(
+        compiled.num_instances() == base.nl.num_instances()
+            && compiled.num_nets() == base.nl.num_nets(),
+        "compiled snapshot does not match the netlist"
+    );
+    let mut reports = analyze_on(base, compiled, &[slow, fast], par)?;
     let fast_report = reports.pop().expect("two corners in, two reports out");
     let slow_report = reports.pop().expect("two corners in, two reports out");
     Ok(CornerSignoff {

@@ -9,6 +9,7 @@ use camsoc::layout::place::{PlacementConfig, PlacementMode};
 use camsoc::layout::ImplementOptions;
 use camsoc::netlist::stats::NetlistStats;
 use camsoc::netlist::tech::Technology;
+use camsoc::sta::{multi_corner, Constraints, Corner, Sta};
 
 fn quick_options() -> FlowOptions {
     FlowOptions {
@@ -119,4 +120,22 @@ fn faster_clock_is_harder_to_close() {
     options.clock_period_ns = 2.0; // 500 MHz in 0.25 µm: hopeless
     let stressed = run_flow(design.netlist, &options).expect("flow");
     assert!(stressed.signoff_timing.setup.wns_ns < relaxed.signoff_timing.setup.wns_ns);
+
+    // Both fix loops run at 2 ns, yet the timing-fix stage compiles
+    // once: the incremental engine's journal-patched snapshot is handed
+    // to the two-corner sign-off. A stale snapshot would show up as a
+    // difference from a sign-off of the final netlist over a fresh
+    // compile (layout wires, 0.01 ns for ECO nets, CTS latencies).
+    use camsoc::flow::StageId;
+    assert!(stressed.timing_ecos > 0, "the fix loops must engage");
+    assert_eq!(stressed.compile_stats.for_stage(StageId::TimingFix), 1);
+    let mut wires = stressed.layout.wire_delays_ns.clone();
+    wires.resize(stressed.netlist.num_nets(), 0.01);
+    let constraints = Constraints::single_clock(&options.clock_port, options.clock_period_ns);
+    let base = Sta::new(&stressed.netlist, &options.tech, constraints)
+        .with_wire_delays(wires)
+        .with_clock_latency(stressed.layout.clock_tree.latency_ns.clone());
+    let fresh = multi_corner::signoff(&base, Corner::worst(), Corner::best(), options.parallelism)
+        .expect("fresh sign-off");
+    assert_eq!(stressed.corner_signoff, fresh);
 }
