@@ -77,16 +77,25 @@ echo "par smoke wall clock: $((t5 - t4)) s"
 # must stay bit-identical to its graph-walking reference engine, and a
 # journal-patched snapshot must equal a fresh compile across the full
 # paper ECO history and after a six-op journal with one of every
-# journaled edit. Already in the suite above; named here so a
-# compiled-core regression is called out in the CI log.
+# journaled edit. The equivalence checker's BDD cone build reads the
+# snapshot too: its whole reports stay pinned to values recorded before
+# the per-worker proof scratch (serial and 2 threads), a reused scratch
+# must match a fresh one across model sizes and an epoch wrap, and a
+# 100,000-level cone must prove without recursing. Already in the suite
+# above; named here so a compiled-core regression is called out in the
+# CI log.
 echo "== compiled: SoA/CSR bit-identity smoke =="
 cargo test -q --release --test compiled_netlist -- \
     csr_adjacency_matches_graph_adjacency \
     sta_reports_on_compiled_core_match_graph_engine \
     equiv_engines_agree_across_threads \
     journal_patched_snapshot_matches_fresh_compile_across_eco_history
-cargo test -q --release -p camsoc-netlist --lib \
-    eco::tests::journal_patches_fanout_structures
+cargo test -q --release -p camsoc-netlist --lib -- \
+    eco::tests::journal_patches_fanout_structures \
+    equiv::tests::eco_fixture_reports_are_pinned \
+    equiv::tests::phase_two_mismatch_report_is_pinned \
+    equiv::tests::reused_proof_scratch_matches_fresh_scratch \
+    equiv::tests::deep_chain_cones_prove_without_recursion
 t6=$(date +%s)
 echo "compiled smoke wall clock: $((t6 - t5)) s"
 

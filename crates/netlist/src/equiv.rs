@@ -14,8 +14,31 @@
 //!    proven equivalent with a small BDD package (shared manager, same
 //!    variable order); cones whose support exceeds the cap keep the
 //!    random-simulation verdict.
+//!
+//! # The exact phase's proof scratch
+//!
+//! Each `camsoc-par` worker proves its sinks with one private
+//! `ProofScratch`, made by `camsoc_par::map_with` and dropped when the
+//! check returns. It holds epoch-stamped per-net slots (the support
+//! walks' visited set, then the cone builds' net → node memo), the walk
+//! and build stacks, and one [`Bdd`] manager that is reset between
+//! cones. Cones are built on the [`CompiledNetlist`] the [`CombModel`]
+//! owns — CSR fanin rows in pin order, the function table and the dense
+//! net → source table — by an iterative walk, so a deep cone costs heap,
+//! not stack. The manager's tables hash node handles with a small
+//! multiply-rotate hasher.
+//!
+//! None of this can change a report. A reset manager is a fresh one
+//! (node ids restart after the terminals, both tables empty, the ITE
+//! cache lossless), and the build makes the `mk` calls of the recursive
+//! definition in the same order: fanins depth-first in pin order, each
+//! gate once its last fanin is built. So every cone gets the same node
+//! ids, node count and overflow point as with a new manager per sink,
+//! and every [`EquivReport`] stays bit-identical at any thread count: a
+//! scratch carries capacity from cone to cone, never values.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use camsoc_par::Parallelism;
 
@@ -47,10 +70,12 @@ pub enum SinkKey {
     MacroIn(String, usize),
 }
 
-/// Which data structure the traversal phases of an equivalence check
-/// walk. Both engines are bit-identical by construction; the graph
-/// engine is kept as the pointer-chasing reference the compiled engine
-/// is validated against (and benchmarked against in `perf_report`).
+/// Which data structure the random simulation and the support walks of
+/// an equivalence check walk; the BDD cone build always reads the
+/// compiled snapshot. Both engines are bit-identical by construction;
+/// the graph engine is kept as the pointer-chasing reference the
+/// compiled engine is validated against (and benchmarked against in
+/// `perf_report`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EquivEngine {
     /// Walk the [`CompiledNetlist`] SoA/CSR snapshot (default).
@@ -196,60 +221,61 @@ impl<'a> CombModel<'a> {
 
     /// Transitive-fanin support (as sorted source indices) of a sink
     /// net, walking the compiled CSR fanin rows with a dense visited
-    /// bitmap and the precomputed net→source table — no hashing in the
+    /// array and the precomputed net→source table — no hashing in the
     /// loop. Bit-identical to [`CombModel::cone_support_graph`].
     pub fn cone_support(&self, sink_net: NetId) -> Vec<usize> {
-        self.cone_support_scratch(sink_net, &mut ConeScratch::default())
-    }
-
-    /// [`CombModel::cone_support`] with a caller-owned [`ConeScratch`]:
-    /// repeated walks (one per sink in the exact-cone phase) reuse one
-    /// epoch-stamped visited array instead of zeroing a fresh
-    /// `num_nets`-sized bitmap per sink, so the per-sink cost is O(cone)
-    /// rather than O(nets). Same result as [`CombModel::cone_support`].
-    pub fn cone_support_scratch(
-        &self,
-        sink_net: NetId,
-        scratch: &mut ConeScratch,
-    ) -> Vec<usize> {
-        let cn = &self.compiled;
-        if scratch.stamp.len() < cn.num_nets() {
-            scratch.stamp.resize(cn.num_nets(), 0);
-        }
-        scratch.epoch = match scratch.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                scratch.stamp.fill(0);
-                1
-            }
-        };
-        let epoch = scratch.epoch;
         let mut support = Vec::new();
-        let mut stack = vec![sink_net];
-        while let Some(net) = stack.pop() {
-            let i = net.index();
-            if scratch.stamp[i] == epoch {
-                continue;
-            }
-            scratch.stamp[i] = epoch;
-            let si = self.source_of_net[i];
-            if si != u32::MAX {
-                support.push(si as usize);
-                continue;
-            }
-            // ports/macros are sources; undriven → constant 0
-            if let Some(id) = cn.driver_instance(net) {
-                if cn.is_sequential(id) {
-                    // its Q is a source; handled above via source_of_net
-                    continue;
-                }
-                for &input in cn.fanin(id) {
-                    stack.push(NetId(input));
-                }
-            }
-        }
+        self.support_into(
+            sink_net,
+            &mut NetSlots::default(),
+            &mut Vec::new(),
+            &mut support,
+            usize::MAX,
+        );
         support.sort_unstable();
         support
+    }
+
+    /// Append the support of `sink_net` (source indices, unsorted) to
+    /// `out`, marking visited nets in `slots` and walking with `stack`.
+    /// Returns `false`, leaving the walk unfinished, as soon as it finds
+    /// more than `cap` sources: such a cone never enters the exact phase.
+    fn support_into(
+        &self,
+        sink_net: NetId,
+        slots: &mut NetSlots,
+        stack: &mut Vec<u32>,
+        out: &mut Vec<usize>,
+        cap: usize,
+    ) -> bool {
+        let cn = &self.compiled;
+        slots.begin(cn.num_nets());
+        let start = out.len();
+        stack.clear();
+        stack.push(sink_net.0);
+        while let Some(net) = stack.pop() {
+            let i = net as usize;
+            if slots.get(i).is_some() {
+                continue;
+            }
+            slots.set(i, 0);
+            let si = self.source_of_net[i];
+            if si != u32::MAX {
+                out.push(si as usize);
+                if out.len() - start > cap {
+                    return false;
+                }
+                continue;
+            }
+            // ports/macros are sources; undriven → constant 0; a
+            // sequential driver's Q is a source, handled above
+            if let Some(id) = cn.driver_instance(NetId(net)) {
+                if !cn.is_sequential(id) {
+                    stack.extend_from_slice(cn.fanin(id));
+                }
+            }
+        }
+        true
     }
 
     /// The graph-walking reference for [`CombModel::cone_support`]:
@@ -285,46 +311,40 @@ impl<'a> CombModel<'a> {
         v.sort_unstable();
         v
     }
-
-    /// Dispatch [`CombModel::cone_support`] /
-    /// [`CombModel::cone_support_graph`] on an [`EquivEngine`] selector.
-    pub fn cone_support_with(&self, engine: EquivEngine, sink_net: NetId) -> Vec<usize> {
-        match engine {
-            EquivEngine::Compiled => self.cone_support(sink_net),
-            EquivEngine::Graph => self.cone_support_graph(sink_net),
-        }
-    }
-
-    /// [`CombModel::cone_support_with`] routed through a caller-owned
-    /// [`ConeScratch`] on the compiled engine. The graph engine is the
-    /// per-call-allocating reference and ignores the scratch.
-    pub fn cone_support_with_scratch(
-        &self,
-        engine: EquivEngine,
-        sink_net: NetId,
-        scratch: &mut ConeScratch,
-    ) -> Vec<usize> {
-        match engine {
-            EquivEngine::Compiled => self.cone_support_scratch(sink_net, scratch),
-            EquivEngine::Graph => self.cone_support_graph(sink_net),
-        }
-    }
 }
 
-/// Reusable visited-stamp buffer for
-/// [`CombModel::cone_support_scratch`]. One instance per worker thread
-/// amortises the `num_nets`-sized allocation across every sink that
-/// thread proves; the epoch counter makes clearing O(1) per walk.
+/// Epoch-stamped per-net slots, holding one traversal at a time: a
+/// support walk's visited set or a cone build's net → node memo. Sized
+/// to the largest model seen and reused across traversals; `begin`
+/// forgets every slot in O(1) by advancing the epoch, and zeroes the
+/// array only when the epoch wraps.
 #[derive(Debug, Default)]
-pub struct ConeScratch {
-    stamp: Vec<u32>,
+struct NetSlots {
+    slot: Vec<(u32, BddRef)>,
     epoch: u32,
 }
 
-impl ConeScratch {
-    /// Fresh scratch; buffers grow to the model's net count on first use.
-    pub fn new() -> Self {
-        Self::default()
+impl NetSlots {
+    fn begin(&mut self, nets: usize) {
+        if self.slot.len() < nets {
+            self.slot.resize(nets, (0, 0));
+        }
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(e) => e,
+            None => {
+                self.slot.fill((0, 0));
+                1
+            }
+        };
+    }
+
+    fn get(&self, net: usize) -> Option<BddRef> {
+        let (stamp, node) = self.slot[net];
+        (stamp == self.epoch).then_some(node)
+    }
+
+    fn set(&mut self, net: usize, node: BddRef) {
+        self.slot[net] = (self.epoch, node);
     }
 }
 
@@ -346,6 +366,56 @@ impl std::fmt::Display for BddOverflow {
 }
 impl std::error::Error for BddOverflow {}
 
+/// Multiply-rotate hasher for the [`Bdd`] tables. Their keys are node
+/// handles and variable indices the manager hands out itself, never
+/// outside input, so SipHash's flooding resistance buys nothing there.
+#[derive(Default)]
+struct HandleHasher(u64);
+
+impl Hasher for HandleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // a product mixes only upward: rotate its well-mixed high bits
+        // into the low bits the table indexes buckets by
+        self.0.rotate_left(26)
+    }
+}
+
+type HandleMap<K> = HashMap<K, BddRef, BuildHasherDefault<HandleHasher>>;
+
+/// Table capacity a reset may keep whatever the last proof used.
+/// Regrowing from empty for every proof rehashes each entry several
+/// times, which costs more than the proofs' own lookups; clearing a
+/// table this size costs microseconds.
+const KEPT_CAPACITY: usize = 1 << 14;
+
+/// Empty `table` in O(last proof + [`KEPT_CAPACITY`]), not O(largest
+/// table ever). `clear` costs O(capacity), and the ITE cache is not
+/// bounded by the node limit: a table one large proof grew would tax
+/// every later proof, with the clear and with entries scattered over a
+/// cache-cold table, so it is re-created at the size last used.
+fn reset_table<K>(table: &mut HandleMap<K>) {
+    if table.capacity() > (4 * table.len()).max(KEPT_CAPACITY) {
+        let size = table.len().max(KEPT_CAPACITY);
+        *table = HandleMap::with_capacity_and_hasher(size, Default::default());
+    } else {
+        table.clear();
+    }
+}
+
 /// A small reduced-ordered-BDD manager with hash-consing and an ITE
 /// cache, capped at a node limit so pathological cones degrade to the
 /// random-simulation verdict instead of exploding.
@@ -353,8 +423,8 @@ impl std::error::Error for BddOverflow {}
 pub struct Bdd {
     // nodes[i] = (var, lo, hi); nodes 0/1 are terminals (var = u32::MAX)
     nodes: Vec<(u32, BddRef, BddRef)>,
-    unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    ite_cache: HashMap<(BddRef, BddRef, BddRef), BddRef>,
+    unique: HandleMap<(u32, BddRef, BddRef)>,
+    ite_cache: HandleMap<(BddRef, BddRef, BddRef)>,
     limit: usize,
 }
 
@@ -368,10 +438,19 @@ impl Bdd {
     pub fn new(limit: usize) -> Self {
         Bdd {
             nodes: vec![(u32::MAX, 0, 0), (u32::MAX, 1, 1)],
-            unique: HashMap::new(),
-            ite_cache: HashMap::new(),
+            unique: HandleMap::default(),
+            ite_cache: HandleMap::default(),
             limit,
         }
+    }
+
+    /// Empty the manager for the next proof, keeping its limit. Both
+    /// tables come back empty and node ids restart after the terminals,
+    /// so the next proof makes exactly the nodes a fresh manager would.
+    pub(crate) fn reset(&mut self) {
+        self.nodes.truncate(2);
+        reset_table(&mut self.unique);
+        reset_table(&mut self.ite_cache);
     }
 
     /// Number of live nodes (including terminals).
@@ -572,9 +651,10 @@ pub struct EquivOptions {
     /// all report counters are bit-identical to `Serial` (the first
     /// mismatch in round/sink order always wins).
     pub parallelism: Parallelism,
-    /// Traversal engine for simulation and cone extraction. Both
-    /// produce bit-identical reports; `Graph` exists as the reference
-    /// to validate/benchmark `Compiled` against.
+    /// Traversal engine for random simulation and support walks (the
+    /// BDD cone build always reads the compiled snapshot). Both produce
+    /// bit-identical reports; `Graph` exists as the reference to
+    /// validate/benchmark `Compiled` against.
     pub engine: EquivEngine,
 }
 
@@ -731,64 +811,19 @@ pub fn check_equivalence(
     }
     let vectors = 64 * options.random_rounds;
 
-    // Phase 2: exact cone proofs for bounded-support cones, one
-    // independent BDD manager per sink so the proofs parallelize without
-    // sharing. Outcomes merge in sink order: the first mismatching sink
+    // Phase 2: exact cone proofs for bounded-support cones. Each worker
+    // proves its sinks with one `ProofScratch`, dropped when the check
+    // returns. Outcomes merge in sink order: the first mismatching sink
     // wins and `cones_proven` counts only the sinks before it, matching
     // the serial loop bit-for-bit.
-    enum ConeOutcome {
-        Proven,
-        Unproven,
-        Mismatch,
-    }
-    // Source index → net, precomputed once per model: the per-cone BDD
-    // build maps its ≤ max_support variables straight through this table
-    // instead of re-scanning the full source map for every sink.
-    let src_nets_a: Vec<NetId> = ma.sources.values().copied().collect();
-    let src_nets_b: Vec<NetId> = mb.sources.values().copied().collect();
-    let outcomes = camsoc_par::map(options.parallelism, &sink_keys, |key| {
-        // one visited-stamp buffer per worker thread: support walks cost
-        // O(cone), not O(nets), per sink
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<ConeScratch> =
-                std::cell::RefCell::new(ConeScratch::new());
-        }
-        let net_a = ma.sinks[key];
-        let net_b = mb.sinks[key];
-        let (sup_a, sup_b) = SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            (
-                ma.cone_support_with_scratch(options.engine, net_a, scratch),
-                mb.cone_support_with_scratch(options.engine, net_b, scratch),
-            )
-        });
-        // union support under same variable indices (source order shared)
-        let union: Vec<usize> = {
-            let mut s: Vec<usize> = sup_a.iter().chain(sup_b.iter()).copied().collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
-        if union.len() > options.max_support {
-            return ConeOutcome::Unproven;
-        }
-        let var_of_source: HashMap<usize, u32> =
-            union.iter().enumerate().map(|(v, &s)| (s, v as u32)).collect();
-        let mut mgr = Bdd::new(options.bdd_node_limit);
-        match (
-            build_cone_bdd(&ma, &src_nets_a, net_a, &var_of_source, &mut mgr),
-            build_cone_bdd(&mb, &src_nets_b, net_b, &var_of_source, &mut mgr),
-        ) {
-            (Ok(fa), Ok(fb)) => {
-                if fa != fb {
-                    ConeOutcome::Mismatch
-                } else {
-                    ConeOutcome::Proven
-                }
-            }
-            _ => ConeOutcome::Unproven,
-        }
-    });
+    let sink_nets: Vec<(NetId, NetId)> =
+        ma.sinks.values().copied().zip(mb.sinks.values().copied()).collect();
+    let outcomes = camsoc_par::map_with(
+        options.parallelism,
+        &sink_nets,
+        || ProofScratch::new(options.bdd_node_limit),
+        |scratch, &(net_a, net_b)| scratch.prove(&ma, &mb, net_a, net_b, options),
+    );
     let mut proven = 0usize;
     let mut unproven = 0usize;
     for (key, outcome) in sink_keys.iter().zip(&outcomes) {
@@ -814,79 +849,165 @@ pub fn check_equivalence(
     Ok(EquivReport { verdict, sinks_compared: nsink, cones_proven: proven, vectors_applied: vectors })
 }
 
-/// Build the BDD of the cone rooted at `net` in terms of the shared
-/// source-variable mapping.
-fn build_cone_bdd(
-    model: &CombModel<'_>,
-    src_nets: &[NetId],
-    net: NetId,
-    var_of_source: &HashMap<usize, u32>,
-    mgr: &mut Bdd,
-) -> Result<BddRef, BddOverflow> {
-    // source net → variable index, straight through the precomputed
-    // index→net table: O(support), not O(sources), per cone
-    let source_var: HashMap<NetId, u32> =
-        var_of_source.iter().map(|(&s, &v)| (src_nets[s], v)).collect();
-    let mut memo: HashMap<NetId, BddRef> = HashMap::new();
-    build_rec(model, net, &source_var, mgr, &mut memo)
+/// The exact phase's verdict on one sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ConeOutcome {
+    Proven,
+    Unproven,
+    Mismatch,
 }
 
-fn build_rec(
-    model: &CombModel<'_>,
-    net: NetId,
-    source_var: &HashMap<NetId, u32>,
-    mgr: &mut Bdd,
-    memo: &mut HashMap<NetId, BddRef>,
-) -> Result<BddRef, BddOverflow> {
-    if let Some(&r) = memo.get(&net) {
-        return Ok(r);
+/// One worker's state for the exact phase, reused from cone to cone:
+/// the net slots both support walks and both cone builds run on, their
+/// stacks, the union support, and the BDD manager, reset per proof. Only
+/// capacity carries over between proofs, never a value a proof reads.
+#[derive(Debug)]
+struct ProofScratch {
+    slots: NetSlots,
+    walk: Vec<u32>,
+    /// Cone-build stack: `(instance, first fanin pin not yet resolved)`.
+    frames: Vec<(u32, u32)>,
+    support: Vec<usize>,
+    mgr: Bdd,
+}
+
+impl ProofScratch {
+    fn new(bdd_node_limit: usize) -> Self {
+        ProofScratch {
+            slots: NetSlots::default(),
+            walk: Vec::new(),
+            frames: Vec::new(),
+            support: Vec::new(),
+            mgr: Bdd::new(bdd_node_limit),
+        }
     }
-    if let Some(&v) = source_var.get(&net) {
-        let r = mgr.var(v)?;
-        memo.insert(net, r);
-        return Ok(r);
-    }
-    let r = match model.nl.net(net).driver {
-        Some(NetDriver::Instance(id)) => {
-            let inst = model.nl.instance(id);
-            if inst.function().is_sequential() {
-                // Sequential Q that is a source would have been in the
-                // source map; reaching here means it was filtered out of
-                // the support, which cannot happen for a proper cone.
-                // Treat as constant 0 (matches eval() for undriven).
-                Bdd::ZERO
-            } else {
-                let mut ins = Vec::with_capacity(inst.inputs.len());
-                for &i in &inst.inputs {
-                    ins.push(build_rec(model, i, source_var, mgr, memo)?);
+
+    /// Prove the cones of `net_a` in `ma` and `net_b` in `mb` equal.
+    /// Both are built in one freshly reset manager over the union of
+    /// their supports, source `s` being variable `rank of s in the
+    /// union`: cones whose union support exceeds `max_support`, or whose
+    /// build overflows the node limit, stay unproven.
+    fn prove(
+        &mut self,
+        ma: &CombModel<'_>,
+        mb: &CombModel<'_>,
+        net_a: NetId,
+        net_b: NetId,
+        options: &EquivOptions,
+    ) -> ConeOutcome {
+        self.mgr.reset();
+        let cap = options.max_support;
+        self.support.clear();
+        match options.engine {
+            EquivEngine::Compiled => {
+                let ProofScratch { slots, walk, support, .. } = self;
+                if !ma.support_into(net_a, slots, walk, support, cap)
+                    || !mb.support_into(net_b, slots, walk, support, cap)
+                {
+                    return ConeOutcome::Unproven;
                 }
-                mgr.eval_function(inst.function(), &ins)?
+            }
+            EquivEngine::Graph => {
+                self.support.extend(ma.cone_support_graph(net_a));
+                self.support.extend(mb.cone_support_graph(net_b));
             }
         }
-        _ => Bdd::ZERO, // ports/macro outputs are sources; undriven → 0
-    };
-    memo.insert(net, r);
-    Ok(r)
+        self.support.sort_unstable();
+        self.support.dedup();
+        if self.support.len() > cap {
+            return ConeOutcome::Unproven;
+        }
+        let union = std::mem::take(&mut self.support);
+        let same = self
+            .build(ma, net_a, &union)
+            .and_then(|fa| self.build(mb, net_b, &union).map(|fb| fa == fb));
+        self.support = union;
+        match same {
+            Ok(true) => ConeOutcome::Proven,
+            Ok(false) => ConeOutcome::Mismatch,
+            Err(BddOverflow) => ConeOutcome::Unproven,
+        }
+    }
+
+    /// Build the BDD of the cone rooted at `root` over `model`'s compiled
+    /// snapshot. The walk is iterative: it visits fanins in pin order and
+    /// evaluates a gate once its last fanin resolves, which is the `mk`
+    /// sequence of the recursive definition, so node ids match it; a deep
+    /// cone costs heap, not stack.
+    fn build(
+        &mut self,
+        model: &CombModel<'_>,
+        root: NetId,
+        union: &[usize],
+    ) -> Result<BddRef, BddOverflow> {
+        let cn = &model.compiled;
+        let ProofScratch { slots, frames, mgr, .. } = self;
+        slots.begin(cn.num_nets());
+        if let Some(r) = resolve(model, root.0, union, slots, mgr)? {
+            return Ok(r);
+        }
+        let mut root_node = Bdd::ZERO;
+        frames.clear();
+        frames.push((gate_driving(cn, root.0), 0));
+        'walk: while let Some(&(id, first)) = frames.last() {
+            let id = InstanceId(id);
+            let fanin = cn.fanin(id);
+            for (pin, &net) in fanin.iter().enumerate().skip(first as usize) {
+                if resolve(model, net, union, slots, mgr)?.is_none() {
+                    // descend; this pin resolves from the memo on return
+                    let top = frames.len() - 1;
+                    frames[top].1 = pin as u32;
+                    frames.push((gate_driving(cn, net), 0));
+                    continue 'walk;
+                }
+            }
+            let mut ins = [Bdd::ZERO; MAX_CELL_INPUTS];
+            for (slot, &net) in ins.iter_mut().zip(fanin) {
+                *slot = slots.get(net as usize).expect("every fanin resolved");
+            }
+            root_node = mgr.eval_function(cn.function(id), &ins[..fanin.len()])?;
+            slots.set(cn.output(id).index(), root_node);
+            frames.pop();
+        }
+        Ok(root_node)
+    }
 }
 
-/// A cheap structural fingerprint: hashes the sorted (function, drive,
-/// fanin-names, output-name) tuples. Identical netlists hash identically;
-/// unequal hashes guarantee structural difference (not functional).
-pub fn structural_hash(nl: &Netlist) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut entries: Vec<String> = nl
-        .instances()
-        .map(|(_, i)| {
-            let ins: Vec<&str> =
-                i.inputs.iter().map(|&n| nl.net(n).name.as_str()).collect();
-            format!("{}:{}:{}:{:?}", i.name, i.cell.lib_name(), nl.net(i.output).name, ins)
-        })
-        .collect();
-    entries.sort();
-    let mut h = DefaultHasher::new();
-    entries.hash(&mut h);
-    h.finish()
+/// The combinational gate driving `net`, which [`resolve`] has just
+/// found unbuilt.
+fn gate_driving(cn: &CompiledNetlist, net: u32) -> u32 {
+    cn.driver_instance(NetId(net)).expect("an unbuilt net has a gate driver").0
+}
+
+/// The node of `net` if it needs no gate evaluated: memoised already, a
+/// source (its variable, made on first reach), or constant 0 (undriven,
+/// or driven by a port, macro pin or sequential element outside the
+/// source map). `None` for a combinational gate's output not yet built.
+fn resolve(
+    model: &CombModel<'_>,
+    net: u32,
+    union: &[usize],
+    slots: &mut NetSlots,
+    mgr: &mut Bdd,
+) -> Result<Option<BddRef>, BddOverflow> {
+    let i = net as usize;
+    if let Some(r) = slots.get(i) {
+        return Ok(Some(r));
+    }
+    let si = model.source_of_net[i];
+    let r = if si != u32::MAX {
+        let var = union
+            .binary_search(&(si as usize))
+            .expect("the support walk reaches every source the build reaches");
+        mgr.var(var as u32)?
+    } else {
+        match model.compiled.driver_instance(NetId(net)) {
+            Some(id) if !model.compiled.is_sequential(id) => return Ok(None),
+            _ => Bdd::ZERO,
+        }
+    };
+    slots.set(i, r);
+    Ok(Some(r))
 }
 
 #[cfg(test)]
@@ -913,7 +1034,6 @@ mod tests {
         let r = check_equivalence(&a, &b, &EquivOptions::default()).unwrap();
         assert_eq!(r.verdict, EquivVerdict::Equivalent);
         assert!(r.passed());
-        assert_eq!(structural_hash(&a), structural_hash(&b));
     }
 
     #[test]
@@ -939,7 +1059,6 @@ mod tests {
         };
         let r = check_equivalence(&a, &bnl, &EquivOptions::default()).unwrap();
         assert_eq!(r.verdict, EquivVerdict::Equivalent);
-        assert_ne!(structural_hash(&a), structural_hash(&bnl));
     }
 
     #[test]
@@ -1122,5 +1241,184 @@ mod tests {
         let b = crate::generate::ripple_adder(6).unwrap();
         let r = check_equivalence(&a, &b, &EquivOptions::default()).unwrap();
         assert_eq!(r.verdict, EquivVerdict::Equivalent);
+    }
+
+    /// A 1,500-gate IP block and an ECO copy of it: every 97th non-spare
+    /// combinational instance (the first 8) gets an X2 buffer on its
+    /// output net and is upsized where its drive allows.
+    fn eco_fixture() -> (Netlist, Netlist) {
+        let params =
+            crate::generate::IpBlockParams { target_gates: 1500, seed: 7, ..Default::default() };
+        let golden = crate::generate::ip_block("blk", &params).unwrap();
+        let picks: Vec<InstanceId> = golden
+            .instances()
+            .filter(|(_, i)| !i.spare && !i.function().is_sequential())
+            .map(|(id, _)| id)
+            .step_by(97)
+            .take(8)
+            .collect();
+        let mut eco = EcoSession::new(golden.clone());
+        for id in picks {
+            let out = eco.netlist().instance(id).output;
+            eco.insert_buffer(out, Drive::X2).unwrap();
+            let _ = eco.upsize(id);
+        }
+        (golden, eco.finish().0)
+    }
+
+    /// Inputs `i00`..`i19`; `a_ok = Buf(i00)` and `y = Buf(AND of all
+    /// 20 inputs)`, or `y = Buf(Tie0)` when `tied`. The two differ on one
+    /// assignment in 2^20, which random vectors miss and the BDD phase
+    /// must catch.
+    fn and_chain(tied: bool) -> Netlist {
+        let mut b = NetlistBuilder::new("p2");
+        let ins: Vec<NetId> = (0..20).map(|i| b.input(&format!("i{i:02}"))).collect();
+        let ok = b.gate_auto(CellFunction::Buf, &[ins[0]]);
+        b.output("a_ok", ok);
+        let t = if tied {
+            b.tie(false)
+        } else {
+            ins[1..].iter().fold(ins[0], |acc, &x| b.gate_auto(CellFunction::And2, &[acc, x]))
+        };
+        let y = b.gate_auto(CellFunction::Buf, &[t]);
+        b.output("y", y);
+        b.finish()
+    }
+
+    /// `y` at the end of a `levels`-deep `Buf` chain from input `a`, and
+    /// `z = Inv(a)`.
+    fn buf_chain(levels: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("chain");
+        let a = b.input("a");
+        let y = (0..levels).fold(a, |n, _| b.gate_auto(CellFunction::Buf, &[n]));
+        b.output("y", y);
+        let z = b.gate_auto(CellFunction::Inv, &[a]);
+        b.output("z", z);
+        b.finish()
+    }
+
+    const PINNED_THREADS: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Threads(2)];
+
+    #[test]
+    fn eco_fixture_reports_are_pinned() {
+        // recorded before the exact phase moved onto the proof scratch;
+        // the two small node limits pin where cones overflow
+        let (golden, eco) = eco_fixture();
+        let report = |unproven_cones, cones_proven| EquivReport {
+            verdict: EquivVerdict::ProbablyEquivalent { unproven_cones },
+            sinks_compared: 428,
+            cones_proven,
+            vectors_applied: 2048,
+        };
+        let pins = [
+            (EquivOptions::default().bdd_node_limit, report(6, 422)),
+            (64, report(230, 198)),
+            (16, report(283, 145)),
+        ];
+        for (bdd_node_limit, want) in pins {
+            for parallelism in PINNED_THREADS {
+                let opts = EquivOptions { bdd_node_limit, parallelism, ..EquivOptions::default() };
+                let got = check_equivalence(&golden, &eco, &opts).unwrap();
+                assert_eq!(got, want, "limit {bdd_node_limit}, {parallelism:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn phase_two_mismatch_report_is_pinned() {
+        let (a, b) = (and_chain(false), and_chain(true));
+        let want = EquivReport {
+            verdict: EquivVerdict::NotEquivalent { sink: SinkKey::Port("y".into()) },
+            sinks_compared: 2,
+            cones_proven: 1,
+            vectors_applied: 2048,
+        };
+        for parallelism in PINNED_THREADS {
+            let opts = EquivOptions { parallelism, ..EquivOptions::default() };
+            assert_eq!(check_equivalence(&a, &b, &opts).unwrap(), want, "{parallelism:?}");
+        }
+    }
+
+    #[test]
+    fn reused_proof_scratch_matches_fresh_scratch() {
+        // one scratch over models that grow, shrink and grow again, its
+        // net-slot epoch forced through a wrap on the way; a 64-node
+        // limit makes some builds overflow part-way
+        let small = (
+            two_gate(CellFunction::Nand2, CellFunction::Xor2),
+            two_gate(CellFunction::Nor2, CellFunction::Xor2),
+        );
+        let eco = eco_fixture();
+        let chain = (and_chain(false), and_chain(true));
+        let rounds = [&small, &eco, &chain, &small, &eco];
+        for engine in [EquivEngine::Compiled, EquivEngine::Graph] {
+            let options = EquivOptions { bdd_node_limit: 64, engine, ..EquivOptions::default() };
+            let mut reused = ProofScratch::new(options.bdd_node_limit);
+            let mut seen = [0usize; 3];
+            for (round, (a, b)) in rounds.iter().enumerate() {
+                if round == 2 {
+                    // wrap at the chain's first build (epoch 1), every slot
+                    // holding that stamp, as slots last written 2^32
+                    // traversals earlier may
+                    reused.slots.slot.fill((1, Bdd::ONE));
+                    reused.slots.epoch = u32::MAX - 2;
+                }
+                let (ma, mb) = (CombModel::new(a).unwrap(), CombModel::new(b).unwrap());
+                for (&net_a, &net_b) in ma.sinks.values().zip(mb.sinks.values()) {
+                    let mut fresh = ProofScratch::new(options.bdd_node_limit);
+                    let want = fresh.prove(&ma, &mb, net_a, net_b, &options);
+                    let got = reused.prove(&ma, &mb, net_a, net_b, &options);
+                    let nodes = (reused.mgr.num_nodes(), fresh.mgr.num_nodes());
+                    assert_eq!(got, want, "{engine:?} round {round}");
+                    assert_eq!(nodes.0, nodes.1, "{engine:?} round {round}");
+                    seen[got as usize] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&n| n > 0), "{engine:?}: every outcome exercised, {seen:?}");
+        }
+    }
+
+    #[test]
+    fn bdd_reset_matches_fresh_manager_and_sheds_grown_tables() {
+        // (x0 & x15) | (x1 & x16) | ...: the worst variable order, so the
+        // tables grow far past what a small proof uses
+        let blow_up = |m: &mut Bdd, pairs: u32| -> Result<BddRef, BddOverflow> {
+            let mut acc = Bdd::ZERO;
+            for i in 0..pairs {
+                let (x, y) = (m.var(i)?, m.var(i + pairs)?);
+                let t = m.and(x, y)?;
+                acc = m.or(acc, t)?;
+            }
+            Ok(acc)
+        };
+        let small = |m: &mut Bdd| -> Result<(BddRef, usize), BddOverflow> {
+            let f = blow_up(m, 3)?;
+            Ok((f, m.num_nodes()))
+        };
+        let mut m = Bdd::new(1 << 20);
+        blow_up(&mut m, 15).unwrap();
+        assert!(m.ite_cache.len() > 4 * KEPT_CAPACITY, "grew {}", m.ite_cache.len());
+        m.reset();
+        let want = small(&mut Bdd::new(1 << 20));
+        assert_eq!(small(&mut m), want);
+        // the small proof ran in the grown tables; the next reset sheds them
+        m.reset();
+        assert!(m.ite_cache.capacity() <= 4 * KEPT_CAPACITY, "kept {}", m.ite_cache.capacity());
+        assert!(m.unique.capacity() <= 4 * KEPT_CAPACITY, "kept {}", m.unique.capacity());
+        assert_eq!(small(&mut m), want);
+    }
+
+    #[test]
+    fn deep_chain_cones_prove_without_recursion() {
+        // 100,000 gate levels: a build that recursed per level would
+        // overflow the thread's stack and abort the process
+        let a = buf_chain(100_000);
+        let b = a.clone();
+        for parallelism in PINNED_THREADS {
+            let opts = EquivOptions { parallelism, ..EquivOptions::default() };
+            let r = check_equivalence(&a, &b, &opts).unwrap();
+            assert_eq!(r.verdict, EquivVerdict::Equivalent, "{parallelism:?}");
+            assert_eq!(r.cones_proven, 2, "{parallelism:?}");
+        }
     }
 }
