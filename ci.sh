@@ -57,16 +57,31 @@ echo "eco_sta smoke wall clock: $((t4 - t3)) s"
 # the fan-out (`threads_used` assertions fail if either kernel silently
 # drops back to serial). The router's own unit tests pin its congested
 # result to a recorded digest (serial and 2 threads) and require a
-# reused A* scratch to return the same path as a fresh one. Already in
-# the suite above; named here so a determinism, plumbing or
-# routing-kernel regression is called out in the CI log.
+# reused A* scratch to return the same path as a fresh one. The placer's
+# unit tests pin three placements (one of them multi-start, serial and
+# 2 threads) and a tiled hierarchical top to digests, and check every
+# incremental net box against a fresh fold after each random move; the
+# pin annealer's tests pin the ECO replay's 13 pin versions and check
+# its reused-buffer kernels against reference counts. Already in the
+# suite above; named here so a determinism, plumbing, routing- or
+# placement-kernel regression is called out in the CI log.
 echo "== par: route + multi-corner STA determinism smoke =="
 cargo test -q --release --test par_determinism -- \
     routing_is_thread_count_invariant \
     multi_corner_sta_is_thread_count_invariant
 cargo test -q --release -p camsoc-layout --lib -- \
     route::tests::congested_route_matches_pinned_digest \
-    route::tests::reused_search_scratch_matches_fresh_scratch
+    route::tests::reused_search_scratch_matches_fresh_scratch \
+    place::tests::wirelength_placement_matches_pinned_digest \
+    place::tests::timing_driven_placement_matches_pinned_digest \
+    place::tests::multi_start_placement_matches_pinned_digest \
+    place::tests::incremental_boxes_match_fresh_folds
+cargo test -q --release -p camsoc-core --lib \
+    hier::tests::hier_top_placement_among_macro_pins_is_pinned
+cargo test -q --release -p camsoc-pinassign --lib -- \
+    assign::tests::eco_pin_versions_match_pinned_digests \
+    assign::tests::inversions_match_quadratic_count_with_ties \
+    assign::tests::reused_scratch_ranks_match_stable_sort
 cargo test -q --release --test full_flow \
     two_corner_signoff_on_dsc_engages_parallel_kernels
 t5=$(date +%s)

@@ -295,11 +295,11 @@ pub fn apply_change(
     request: &ChangeRequest,
     ctx: &mut ReplayContext,
 ) -> Result<ChangeOutcome, NetlistError> {
-    let before = current.clone();
     match request.kind {
         ChangeKind::Spec => {
             // FF modification: insert a pipeline flop on an internal
             // instance-driven net
+            let before = current.clone();
             let mut eco = EcoSession::new(current);
             let target = pick_comb_gate(eco.netlist(), &mut ctx.rng);
             let mut ok = false;
@@ -346,7 +346,7 @@ pub fn apply_change(
                 }
                 let delta = eco.take_delta();
                 let (candidate, _) = eco.finish();
-                let verdict = check_equivalence(&before, &candidate, &ctx.equiv_opts)?.verdict;
+                let verdict = check_equivalence(&current, &candidate, &ctx.equiv_opts)?.verdict;
                 if matches!(verdict, EquivVerdict::NotEquivalent { .. }) {
                     result = Some((candidate, delta));
                     break;
@@ -357,6 +357,7 @@ pub fn apply_change(
             Ok(ChangeOutcome { netlist, delta, check_ok: ok, substrate_layers: None })
         }
         ChangeKind::TimingEco => {
+            let before = current.clone();
             let mut eco = EcoSession::new(current);
             let mut ok = false;
             if let Some(gate) = pick_comb_gate(eco.netlist(), &mut ctx.rng) {

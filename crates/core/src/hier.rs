@@ -714,4 +714,43 @@ mod tests {
         let (s, h, ok) = fold_signoff(1.0, 0.3, true, &[]);
         assert_eq!((s, h, ok), (1.0, 0.3, true));
     }
+
+    /// The top of a 12 × 300-gate tiled hierarchy places its 20 glue
+    /// cells among the tiles' fixed macro pins exactly as recorded with
+    /// the annealer that re-folded every fixed pin of every touched net
+    /// on every move: FNV-1a over each cell's x, y and row, then the
+    /// final and initial HPWL bits and the accepted-move count.
+    #[test]
+    fn hier_top_placement_among_macro_pins_is_pinned() {
+        use camsoc_layout::floorplan::Floorplan;
+        use camsoc_layout::place::{place, PlacementConfig};
+        use camsoc_netlist::tech::{Technology, TechnologyNode};
+        use camsoc_sta::Constraints;
+
+        let p = TiledParams { tiles: 12, tile_gates: 300, ..TiledParams::default() };
+        let (top, _) = build_tiled_hier(&p).unwrap();
+        let tech = Technology::node(TechnologyNode::Tsmc250);
+        let fp = Floorplan::generate(&top, &tech).unwrap();
+        let constraints = Constraints::single_clock("clk", 7.5);
+        let pl = place(&top, &tech, &fp, &constraints, &PlacementConfig::default());
+        assert_eq!((top.num_instances(), top.num_macros()), (20, 12));
+        assert_eq!(pl.accepted_moves, 1_929);
+        assert_eq!(pl.hpwl_um.to_bits(), 18_414.486_444_760_103f64.to_bits());
+        assert_eq!(pl.initial_hpwl_um.to_bits(), 18_736.219_504_502_78f64.to_bits());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = pl
+            .x
+            .iter()
+            .zip(&pl.y)
+            .zip(&pl.row)
+            .flat_map(|((x, y), &r)| [x.to_bits(), y.to_bits(), r as u64])
+            .chain([pl.hpwl_um.to_bits(), pl.initial_hpwl_um.to_bits(), pl.accepted_moves as u64]);
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x8f45_9e01_f2d5_1ab9);
+    }
 }

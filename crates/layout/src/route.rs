@@ -212,7 +212,12 @@ impl Grid {
 type Path = Vec<(usize, usize)>;
 
 fn l_route(from: (usize, usize), to: (usize, usize)) -> Path {
-    let mut path = vec![from];
+    // Sized exactly. Routing follows parallel kernels whose buffers the
+    // calling thread frees into its malloc cache (glibc tcache); a path
+    // grown by reallocation from such a buffer keeps growing in the
+    // worker's arena, which cost the 16K tapeout about 20 MB of peak RSS.
+    let mut path = Vec::with_capacity(from.0.abs_diff(to.0) + from.1.abs_diff(to.1) + 1);
+    path.push(from);
     let (mut x, mut y) = from;
     while x != to.0 {
         x = if x < to.0 { x + 1 } else { x - 1 };

@@ -14,6 +14,18 @@
 //! specific balls (the paper went through 13 versions of these), and
 //! buses should land on contiguous ball runs for board routability. The
 //! annealer respects both.
+//!
+//! The annealer re-evaluates the whole assignment after every swap, so
+//! [`optimize`] runs [`evaluate`]'s kernels on one private scratch. It
+//! ranks balls with a stable counting sort over ball indices and counts
+//! inversions with a bottom-up merge sort on two reused buffers. It
+//! keeps patience-sorting pile tops in a reused buffer and takes each
+//! bus group's span from its min and max. After the buffers have grown,
+//! a move allocates nothing, and the scratch is dropped when
+//! [`optimize`] returns. Ranks break ties between equal balls by pad
+//! index, as a stable sort does, and equal values never count as
+//! inversions. [`inversions`], [`min_layers`] and [`evaluate`] are thin
+//! wrappers over the same kernels with fresh buffers.
 
 use std::collections::HashMap;
 
@@ -28,7 +40,7 @@ pub struct Problem {
     pub pads: Vec<DiePad>,
     /// Ball escape angles, ordered (from [`Tfbga::signal_balls`]).
     pub ball_angles: Vec<f64>,
-    /// Locked signals: pad index → ball index.
+    /// Locked signals: pad index → ball index (below `ball_angles.len()`).
     pub locked: HashMap<usize, usize>,
     /// Bus groups (pad indices) that want contiguous balls.
     pub groups: Vec<Vec<usize>>,
@@ -123,42 +135,56 @@ pub struct Assignment {
 
 /// Count inversions of a permutation via merge sort, O(n log n).
 pub fn inversions(perm: &[usize]) -> u64 {
-    fn rec(v: &mut Vec<usize>) -> u64 {
-        let n = v.len();
-        if n < 2 {
-            return 0;
-        }
-        let right = v.split_off(n / 2);
-        let mut right = right;
-        let mut inv = rec(v) + rec(&mut right);
-        let mut merged = Vec::with_capacity(n);
-        let (mut i, mut j) = (0, 0);
-        while i < v.len() && j < right.len() {
-            if v[i] <= right[j] {
-                merged.push(v[i]);
-                i += 1;
-            } else {
-                inv += (v.len() - i) as u64;
-                merged.push(right[j]);
-                j += 1;
+    count_inversions(perm, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`inversions`] on reused buffers: a bottom-up merge sort that
+/// ping-pongs between `src` and `dst`. Equal values are not inversions.
+fn count_inversions(perm: &[usize], src: &mut Vec<usize>, dst: &mut Vec<usize>) -> u64 {
+    let n = perm.len();
+    src.clear();
+    src.extend_from_slice(perm);
+    dst.clear();
+    dst.resize(n, 0);
+    let mut inv = 0u64;
+    let mut width = 1;
+    while width < n {
+        for lo in (0..n).step_by(2 * width) {
+            let mid = (lo + width).min(n);
+            let hi = (lo + 2 * width).min(n);
+            let (mut i, mut j, mut k) = (lo, mid, lo);
+            while i < mid && j < hi {
+                if src[i] <= src[j] {
+                    dst[k] = src[i];
+                    i += 1;
+                } else {
+                    inv += (mid - i) as u64;
+                    dst[k] = src[j];
+                    j += 1;
+                }
+                k += 1;
             }
+            dst[k..k + mid - i].copy_from_slice(&src[i..mid]);
+            dst[k + mid - i..hi].copy_from_slice(&src[j..hi]);
         }
-        merged.extend_from_slice(&v[i..]);
-        merged.extend_from_slice(&right[j..]);
-        *v = merged;
-        inv
+        std::mem::swap(src, dst);
+        width *= 2;
     }
-    let mut v = perm.to_vec();
-    rec(&mut v)
+    inv
 }
 
 /// Length of the longest strictly decreasing subsequence — the minimum
 /// number of crossing-free layers (patience sorting on the reversed
 /// order, O(n log n)).
 pub fn min_layers(perm: &[usize]) -> usize {
+    longest_decreasing(perm, &mut Vec::new())
+}
+
+/// [`min_layers`] keeping the pile tops in a reused buffer.
+fn longest_decreasing(perm: &[usize], tops: &mut Vec<i64>) -> usize {
     // LDS(perm) == LIS of the negated sequence; run patience sorting
     // keeping pile tops.
-    let mut tops: Vec<i64> = Vec::new(); // increasing piles over -perm
+    tops.clear(); // increasing piles over -perm
     for &p in perm {
         let x = -(p as i64);
         // find first pile top >= x (strictly increasing LIS on x)
@@ -173,25 +199,71 @@ pub fn min_layers(perm: &[usize]) -> usize {
 }
 
 /// Evaluate an assignment against a problem.
+///
+/// # Panics
+///
+/// Panics if a ball index is not below `problem.ball_angles.len()`.
 pub fn evaluate(problem: &Problem, ball_of_pad: &[usize]) -> Quality {
-    // pads are already angle-ordered; the permutation is the rank of
-    // each assigned ball.
-    let mut ranked: Vec<usize> = (0..ball_of_pad.len()).collect();
-    ranked.sort_by_key(|&i| ball_of_pad[i]);
-    let mut rank = vec![0usize; ball_of_pad.len()];
-    for (r, &i) in ranked.iter().enumerate() {
-        rank[i] = r;
+    Scratch::default().evaluate(problem, ball_of_pad)
+}
+
+/// Reused buffers for [`evaluate`], so the annealer's inner loop
+/// allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Rank of each pad's ball: the permutation crossings are counted on.
+    rank: Vec<usize>,
+    /// Counting-sort buckets: per ball index, the next rank to hand out.
+    buckets: Vec<usize>,
+    /// Merge-sort buffers for [`count_inversions`].
+    merge: (Vec<usize>, Vec<usize>),
+    /// Pile tops for [`longest_decreasing`].
+    tops: Vec<i64>,
+}
+
+impl Scratch {
+    /// [`evaluate`] on this scratch.
+    fn evaluate(&mut self, problem: &Problem, ball_of_pad: &[usize]) -> Quality {
+        // pads are already angle-ordered; the permutation is the rank of
+        // each assigned ball, ties broken by pad index
+        self.rank_balls(ball_of_pad, problem.ball_angles.len());
+        let crossings = count_inversions(&self.rank, &mut self.merge.0, &mut self.merge.1);
+        let layers = longest_decreasing(&self.rank, &mut self.tops);
+        let mut group_spread = 0usize;
+        for g in &problem.groups {
+            let balls = g.iter().map(|&p| ball_of_pad[p]);
+            let lo = balls.clone().min().expect("bus groups are non-empty");
+            let hi = balls.max().expect("bus groups are non-empty");
+            group_spread += (hi - lo + 1).saturating_sub(g.len());
+        }
+        Quality { crossings, layers, group_spread }
     }
-    let crossings = inversions(&rank);
-    let layers = min_layers(&rank);
-    let mut group_spread = 0usize;
-    for g in &problem.groups {
-        let mut balls: Vec<usize> = g.iter().map(|&p| ball_of_pad[p]).collect();
-        balls.sort_unstable();
-        let span = balls.last().unwrap() - balls.first().unwrap() + 1;
-        group_spread += span.saturating_sub(g.len());
+
+    /// Fill `rank` with each pad's position in a stable sort of the pads
+    /// by ball, counting-sorted over the `balls` ball indices. On the
+    /// ECO replay's 96-pad problems (seeds 1–10 × versions 1–13, 8,000
+    /// moves, 2-vCPU AMD EPYC host) a version took 11.1–11.7 ms against
+    /// 14.8–15.4 ms with a stable `sort_by_key` of pad indices on a
+    /// reused buffer, 6 of 6 alternating runs.
+    fn rank_balls(&mut self, ball_of_pad: &[usize], balls: usize) {
+        self.buckets.clear();
+        self.buckets.resize(balls, 0);
+        for &b in ball_of_pad {
+            self.buckets[b] += 1;
+        }
+        let mut acc = 0;
+        for slot in &mut self.buckets {
+            let count = *slot;
+            *slot = acc;
+            acc += count;
+        }
+        self.rank.clear();
+        self.rank.extend(ball_of_pad.iter().map(|&b| {
+            let r = self.buckets[b];
+            self.buckets[b] += 1;
+            r
+        }));
     }
-    Quality { crossings, layers, group_spread }
 }
 
 /// The naive assignment: pads to balls in grid (row-major) order —
@@ -302,8 +374,9 @@ pub fn optimize(problem: &Problem, cfg: &OptimizeConfig) -> Assignment {
     let unlocked: Vec<usize> =
         (0..n).filter(|p| !problem.locked.contains_key(p)).collect();
     let mut rng = SplitMix64::new(cfg.seed);
+    let mut scratch = Scratch::default();
     let mut best = ball_of_pad.clone();
-    let mut best_cost = cost(&evaluate(problem, &best), cfg);
+    let mut best_cost = cost(&scratch.evaluate(problem, &best), cfg);
     let mut current = best.clone();
     let mut current_cost = best_cost;
     let mut temperature = best_cost.max(1.0) / 50.0;
@@ -319,21 +392,21 @@ pub fn optimize(problem: &Problem, cfg: &OptimizeConfig) -> Assignment {
             continue;
         }
         current.swap(a, b);
-        let q = evaluate(problem, &current);
+        let q = scratch.evaluate(problem, &current);
         let c = cost(&q, cfg);
         let delta = c - current_cost;
         if delta < 0.0 || rng.chance((-delta / temperature.max(1e-9)).exp().clamp(0.0, 1.0)) {
             current_cost = c;
             if c < best_cost {
                 best_cost = c;
-                best = current.clone();
+                best.copy_from_slice(&current);
             }
         } else {
             current.swap(a, b); // revert
         }
         temperature *= cooling;
     }
-    let quality = evaluate(problem, &best);
+    let quality = scratch.evaluate(problem, &best);
     Assignment { ball_of_pad: best, quality }
 }
 
@@ -441,5 +514,108 @@ mod tests {
             "unconstrained should be ~planar, got {} layers",
             best.quality.layers
         );
+    }
+
+    /// O(n²) reference: pairs `i < j` with `v[i] > v[j]`.
+    fn quadratic_inversions(v: &[usize]) -> u64 {
+        let mut inv = 0;
+        for i in 0..v.len() {
+            for j in i + 1..v.len() {
+                inv += u64::from(v[i] > v[j]);
+            }
+        }
+        inv
+    }
+
+    #[test]
+    fn inversions_match_quadratic_count_with_ties() {
+        let mut rng = SplitMix64::new(23);
+        let (mut src, mut dst) = (Vec::new(), Vec::new());
+        for n in 0..80 {
+            // few distinct values, so most sequences carry ties
+            let values = 1 + rng.below(n / 2 + 2);
+            let v: Vec<usize> = (0..n).map(|_| rng.below(values)).collect();
+            let want = quadratic_inversions(&v);
+            assert_eq!(inversions(&v), want, "{v:?}");
+            assert_eq!(count_inversions(&v, &mut src, &mut dst), want, "reused buffers, {v:?}");
+        }
+    }
+
+    #[test]
+    fn reused_scratch_ranks_match_stable_sort() {
+        let package = Tfbga::tfbga256();
+        let problem = Problem::synthesize(&package, 96, 0.12, 5);
+        let balls = problem.ball_angles.len();
+        let mut rng = SplitMix64::new(29);
+        let mut scratch = Scratch::default();
+        for round in 0..60 {
+            let n = 96 - rng.below(3) * 20;
+            // ties throughout; every third round uses the whole ball range
+            let limit = if round % 3 == 0 { balls } else { balls / 2 };
+            let v: Vec<usize> = (0..n).map(|_| rng.below(limit)).collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| v[i]);
+            let mut want = vec![0; n];
+            for (r, &i) in order.iter().enumerate() {
+                want[i] = r;
+            }
+            scratch.rank_balls(&v, balls);
+            assert_eq!(scratch.rank, want, "round {round}");
+            if n == 96 {
+                let q = scratch.evaluate(&problem, &v);
+                assert_eq!(q, evaluate(&problem, &v), "round {round}");
+                assert_eq!(q.crossings, quadratic_inversions(&want), "round {round}");
+            }
+        }
+    }
+
+    /// FNV-1a over an assignment: every pad's ball, then crossings,
+    /// layers and group spread.
+    fn assignment_digest(a: &Assignment) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let q = a.quality;
+        let words = a.ball_of_pad.iter().map(|&b| b as u64).chain([
+            q.crossings,
+            q.layers as u64,
+            q.group_spread as u64,
+        ]);
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// [`assignment_digest`]s of the ECO replay's pin versions 1–13
+    /// (96 signals, 12 % locked, seed `1 ^ version`, 8,000 moves),
+    /// recorded with the allocating `evaluate` that sorted pad indices
+    /// and merge-sorted split-off halves on every move.
+    const PINNED_ECO_VERSION_DIGESTS: [u64; 13] = [
+        0xe4e8_7312_0407_5dd7,
+        0x451b_78dc_d127_ed6b,
+        0x200c_a84e_41c7_20e1,
+        0x0b2c_dc45_b68f_6ec0,
+        0xc131_76cd_2440_66b3,
+        0xd4d4_3c7f_bdf0_4017,
+        0x63d5_a075_91e9_ce23,
+        0x382d_2830_875a_7806,
+        0x0435_aa13_592d_a062,
+        0x40af_60c7_4f24_248a,
+        0x842f_4ada_2c47_bfb5,
+        0xf794_9fad_49a0_335a,
+        0x787c_3250_8eb9_70a8,
+    ];
+
+    #[test]
+    fn eco_pin_versions_match_pinned_digests() {
+        let package = Tfbga::tfbga256();
+        let cfg = OptimizeConfig { iterations: 8_000, ..OptimizeConfig::default() };
+        for (version, &want) in (1u64..).zip(&PINNED_ECO_VERSION_DIGESTS) {
+            let problem = Problem::synthesize(&package, 96, 0.12, 1 ^ version);
+            let a = optimize(&problem, &cfg);
+            assert_eq!(assignment_digest(&a), want, "version {version}: {:?}", a.quality);
+        }
     }
 }

@@ -17,7 +17,8 @@
 //!   increasing subsequences of the pad→ball permutation (Dilworth:
 //!   the length of the longest decreasing subsequence). A simulated
 //!   annealer permutes unlocked signals to minimise layers under
-//!   customer-locked balls and bus-contiguity constraints.
+//!   customer-locked balls and bus-contiguity constraints. It evaluates
+//!   every move on reused buffers and allocates nothing per move.
 //! * [`cost`] — substrate layer count → package cost, and the
 //!   mass-production saving.
 //!
