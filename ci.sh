@@ -37,17 +37,28 @@ echo "fault-injection smoke wall clock: $((t3 - t2)) s"
 # (levels recomputed, fanout entries patched and endpoint recomputes are
 # each asserted well below netlist size per change). The snapshot's
 # (level, id) order re-sort after a level change is O(instances) and
-# uncounted. Two more tests ride along: the hold-fix loop's two-buffer
-# delta must patch (not recompile) and re-time bit-identically, and a
-# flow whose fix loops both run must hand the engine's snapshot to the
-# two-corner sign-off (one compile in the timing-fix stage, sign-off
-# equal to a fresh compile's). Already in the suite above; named here
-# so an incremental-STA perf regression is called out in the CI log.
+# uncounted. Five more tests ride along: the hold-fix loop's two-buffer
+# delta must patch (not recompile) and re-time bit-identically; a flow
+# whose fix loops both run must hand the engine's patched copy of the
+# scanned snapshot to the two-corner sign-off (no compile in the
+# timing-fix stage, sign-off equal to a fresh compile's, results equal
+# to a pinned digest); a timing-driven ip_block flow, serial and at 2
+# threads, must match its pinned digests; the DSC flow's compile audit
+# must read two compiles (pre-layout STA, Scan) and none in any other
+# stage; and the fix-loop flow resumed from a checkpoint decoded after
+# TimingFix (whose final-netlist snapshot is a fresh compile) must
+# finish bit-identical.
+# Already in the suite above; named here so an incremental-STA perf
+# regression is called out in the CI log.
 echo "== eco_sta: O(cone) incremental-STA smoke =="
 cargo test -q --release --test sta_incremental replay_is_bit_identical_typical_corner_seed_a
 cargo test -q --release -p camsoc-sta --lib \
     incremental::tests::two_buffers_on_one_net_patch_in_one_update
-cargo test -q --release --test full_flow faster_clock_is_harder_to_close
+cargo test -q --release --test full_flow -- \
+    faster_clock_is_harder_to_close \
+    ip_block_flow_matches_pinned_digests \
+    dsc_controller_reaches_signoff \
+    resume_after_timing_fix_matches_uninterrupted_run
 t4=$(date +%s)
 echo "eco_sta smoke wall clock: $((t4 - t3)) s"
 
@@ -88,11 +99,15 @@ t5=$(date +%s)
 echo "par smoke wall clock: $((t5 - t4)) s"
 
 # Compiled-netlist smoke: the SoA/CSR snapshot must mirror the graph
-# adjacency exactly, every ported traversal kernel (fsim / STA / equiv)
-# must stay bit-identical to its graph-walking reference engine, and a
+# adjacency exactly, every ported traversal kernel (fsim / equiv) must
+# stay bit-identical to its graph-walking reference engine, and a
 # journal-patched snapshot must equal a fresh compile across the full
 # paper ECO history and after a six-op journal with one of every
-# journaled edit. The equivalence checker's BDD cone build reads the
+# journaled edit. STA has one engine, the compiled pass; its test-only
+# graph oracle in camsoc-sta must agree with it annotation for
+# annotation at the typical, worst and best corners, with estimated and
+# extracted wires, CTS latencies, hardened-macro models and hold
+# violations. The equivalence checker's BDD cone build reads the
 # snapshot too: its whole reports stay pinned to values recorded before
 # the per-worker proof scratch (serial and 2 threads), a reused scratch
 # must match a fresh one across model sizes and an epoch wrap, and a
@@ -102,9 +117,10 @@ echo "par smoke wall clock: $((t5 - t4)) s"
 echo "== compiled: SoA/CSR bit-identity smoke =="
 cargo test -q --release --test compiled_netlist -- \
     csr_adjacency_matches_graph_adjacency \
-    sta_reports_on_compiled_core_match_graph_engine \
     equiv_engines_agree_across_threads \
     journal_patched_snapshot_matches_fresh_compile_across_eco_history
+cargo test -q --release -p camsoc-sta --lib \
+    oracle::tests::sta_reports_on_compiled_core_match_graph_engine
 cargo test -q --release -p camsoc-netlist --lib -- \
     eco::tests::journal_patches_fanout_structures \
     equiv::tests::eco_fixture_reports_are_pinned \

@@ -27,6 +27,12 @@
 //!   forces stage failures, panics and degraded outputs so the
 //!   recovery paths are themselves testable.
 //!
+//! One compiled snapshot per netlist: the Scan stage compiles the
+//! scanned netlist once, and ATPG, both STAs of the layout stage, the
+//! timing-fix engine and the equivalence check read that snapshot (or
+//! the engine's journal-patched copy of it for the final netlist)
+//! instead of compiling again. [`FlowResult::compile_stats`] audits it.
+//!
 //! The ECO loop's sign-off timing is maintained **incrementally**: the
 //! engine baselines one full analysis on the routed view, then each
 //! upsize/buffer fix re-times only its fanout/fanin cone via
@@ -46,9 +52,9 @@ use camsoc_layout::lvs::{compare as lvs_compare, LvsReport};
 use camsoc_layout::{
     gdsii, implement_with, HardMacros, ImplementOptions, LayoutError, LayoutResult,
 };
-use camsoc_netlist::compiled::compiles_on_this_thread;
+use camsoc_netlist::compiled::{compiles_on_this_thread, CompiledNetlist};
 use camsoc_netlist::eco::EcoSession;
-use camsoc_netlist::equiv::{check_equivalence, EquivOptions, EquivReport, EquivVerdict};
+use camsoc_netlist::equiv::{check_models, CombModel, EquivOptions, EquivReport, EquivVerdict};
 use camsoc_netlist::graph::Netlist;
 use camsoc_netlist::tech::Technology;
 use camsoc_netlist::NetlistError;
@@ -122,11 +128,13 @@ impl Default for FlowOptions {
 /// The counter behind it ([`compiles_on_this_thread`]) is thread-local;
 /// every stage kernel derives its compiled view on the stage-driving
 /// thread (the parallel stages compile once *before* fanning work out),
-/// so the deltas captured around each stage are exact. A clean flow
-/// compiles exactly four times: once for ATPG's combinational circuit,
-/// once in the timing-fix stage (the incremental engine's baseline,
-/// patched through the fix loops and handed to the two-corner sign-off),
-/// and twice for equivalence (one per side).
+/// so the deltas captured around each stage are exact. A flow compiles
+/// exactly twice: once in pre-layout STA (the input netlist), and once
+/// in the Scan stage (the scanned netlist, whose snapshot ATPG, layout,
+/// the timing-fix engine and equivalence read; the engine patches a
+/// copy through the fix loops, and that copy is the final netlist's
+/// snapshot). A checkpoint decode re-derives the snapshots outside any
+/// stage, so a resumed run counts fewer.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CompileStats {
     /// `(stage, compile calls while that stage ran)` in execution
@@ -361,6 +369,8 @@ impl FlowError {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TimingFixOutcome {
     pub(crate) netlist: Netlist,
+    /// Snapshot of `netlist`; never encoded (a decode re-derives it).
+    pub(crate) compiled: CompiledNetlist,
     pub(crate) signoff_timing: TimingReport,
     pub(crate) corner_signoff: CornerSignoff,
     pub(crate) timing_ecos: usize,
@@ -374,7 +384,7 @@ pub(crate) struct TimingFixOutcome {
 enum StageOutput {
     Validated,
     PreSta(TimingReport),
-    Scan { netlist: Netlist, report: ScanReport },
+    Scan { netlist: Netlist, compiled: CompiledNetlist, report: ScanReport },
     Atpg(AtpgResult),
     Layout(LayoutResult),
     TimingFix(TimingFixOutcome),
@@ -390,6 +400,8 @@ pub(crate) struct FlowState {
     pub(crate) validated: bool,
     pub(crate) pre_layout_timing: Option<TimingReport>,
     pub(crate) scanned: Option<Netlist>,
+    /// Snapshot of `scanned`; never encoded (a decode re-derives it).
+    pub(crate) scanned_compiled: Option<CompiledNetlist>,
     pub(crate) scan: Option<ScanReport>,
     pub(crate) atpg: Option<AtpgResult>,
     pub(crate) layout: Option<LayoutResult>,
@@ -441,7 +453,9 @@ impl FlowCheckpoint {
         match stage {
             StageId::Validate => s.validated,
             StageId::PreSta => s.pre_layout_timing.is_some(),
-            StageId::Scan => s.scanned.is_some() && s.scan.is_some(),
+            StageId::Scan => {
+                s.scanned.is_some() && s.scanned_compiled.is_some() && s.scan.is_some()
+            }
             StageId::Atpg => s.atpg.is_some(),
             StageId::Layout => s.layout.is_some(),
             StageId::TimingFix => s.fix.is_some(),
@@ -487,8 +501,9 @@ impl FlowCheckpoint {
         match (stage, output) {
             (StageId::Validate, StageOutput::Validated) => s.validated = true,
             (StageId::PreSta, StageOutput::PreSta(t)) => s.pre_layout_timing = Some(t),
-            (StageId::Scan, StageOutput::Scan { netlist, report }) => {
+            (StageId::Scan, StageOutput::Scan { netlist, compiled, report }) => {
                 s.scanned = Some(netlist);
+                s.scanned_compiled = Some(compiled);
                 s.scan = Some(report);
             }
             (StageId::Atpg, StageOutput::Atpg(r)) => s.atpg = Some(r),
@@ -820,6 +835,17 @@ fn require<'a, T>(
     slot.as_ref().ok_or(FlowError::MissingInput { stage, what })
 }
 
+/// The scanned netlist and its snapshot, committed together by Scan.
+fn require_scanned(
+    state: &FlowState,
+    stage: StageId,
+) -> Result<(&Netlist, &CompiledNetlist), FlowError> {
+    Ok((
+        require(&state.scanned, stage, "scanned netlist")?,
+        require(&state.scanned_compiled, stage, "scanned snapshot")?,
+    ))
+}
+
 /// Human-readable knob changes an effort level applies (empty at the
 /// base level and for stages without effort knobs).
 fn escalation_notes(stage: StageId, effort: u32) -> Vec<String> {
@@ -1012,17 +1038,20 @@ fn execute_stage(
         StageId::Scan => {
             let nl = require(&state.input, stage, "input netlist")?;
             let (scanned, report) = insert_scan(nl.clone(), &options.scan)?;
-            Ok(StageOutput::Scan { netlist: scanned, report })
+            let compiled = scanned.compile()?;
+            Ok(StageOutput::Scan { netlist: scanned, compiled, report })
         }
         StageId::Atpg => {
-            let scanned = require(&state.scanned, stage, "scanned netlist")?;
-            let result = Atpg::new(scanned, atpg_config(options, effort))?.run();
+            let (scanned, compiled) = require_scanned(state, stage)?;
+            let result =
+                Atpg::with_compiled(scanned, compiled, atpg_config(options, effort)).run();
             Ok(StageOutput::Atpg(result))
         }
         StageId::Layout => {
-            let scanned = require(&state.scanned, stage, "scanned netlist")?;
+            let (scanned, compiled) = require_scanned(state, stage)?;
             let result = implement_with(
                 scanned,
+                compiled,
                 &options.tech,
                 &constraints,
                 &layout_config(options, effort),
@@ -1031,16 +1060,19 @@ fn execute_stage(
             Ok(StageOutput::Layout(result))
         }
         StageId::TimingFix => {
-            let scanned = require(&state.scanned, stage, "scanned netlist")?;
+            let (scanned, compiled) = require_scanned(state, stage)?;
             let layout = require(&state.layout, stage, "layout result")?;
-            let outcome = stage_timing_fix(scanned, layout, options, effort, hier)?;
+            let outcome = stage_timing_fix(scanned, compiled, layout, options, effort, hier)?;
             Ok(StageOutput::TimingFix(outcome))
         }
         StageId::Equiv => {
-            let scanned = require(&state.scanned, stage, "scanned netlist")?;
+            let (scanned, compiled) = require_scanned(state, stage)?;
             let fix = require(&state.fix, stage, "timing-fix outcome")?;
-            let report =
-                check_equivalence(scanned, &fix.netlist, &equiv_config(options, effort))?;
+            let report = check_models(
+                &CombModel::with_compiled(scanned, compiled),
+                &CombModel::with_compiled(&fix.netlist, &fix.compiled),
+                &equiv_config(options, effort),
+            );
             Ok(StageOutput::Equiv(report))
         }
         StageId::Lvs => {
@@ -1048,7 +1080,7 @@ fn execute_stage(
             // extraction corruption is exercised in the LVS crate's own
             // tests)
             let fix = require(&state.fix, stage, "timing-fix outcome")?;
-            Ok(StageOutput::Lvs(lvs_compare(&fix.netlist, &fix.netlist.clone())))
+            Ok(StageOutput::Lvs(lvs_compare(&fix.netlist, &fix.netlist)))
         }
         StageId::StreamOut => {
             let fix = require(&state.fix, stage, "timing-fix outcome")?;
@@ -1061,9 +1093,11 @@ fn execute_stage(
 /// The timing-fix ECO loop on the sign-off view: upsizing for setup,
 /// delay-buffer insertion for hold (the paper's "3 ECO changes to fix
 /// setup/hold time violation"). Timing is re-derived incrementally per
-/// fix round. Effort escalation widens the iteration budget.
+/// fix round, on a copy of the scanned netlist's snapshot that the
+/// engine patches. Effort escalation widens the iteration budget.
 fn stage_timing_fix(
     scanned: &Netlist,
+    scanned_compiled: &CompiledNetlist,
     layout: &LayoutResult,
     options: &FlowOptions,
     effort: u32,
@@ -1079,16 +1113,15 @@ fn stage_timing_fix(
     let mut sta_incremental_evals = 0usize;
     let mut sta_full_evals = 0usize;
     // Baseline the incremental engine on the pre-ECO sign-off view; each
-    // rerun in the fix loops then re-times only the edited cones. When
-    // sign-off is already clean, the loops never run and the baseline
-    // annotation is skipped entirely.
-    let mut engine: Option<IncrementalSta> = if signoff_timing.setup.clean()
-        && signoff_timing.hold.clean()
-    {
+    // rerun in the fix loops then re-times only the edited cones. A fix
+    // loop runs only while sign-off is unclean, so when it is already
+    // clean no engine is built and no loop runs.
+    let mut engine: Option<IncrementalSta> = if signoff_timing.clean() {
         None
     } else {
         let (inc, _) = sta_with_hier(
             Sta::new(eco.netlist(), &options.tech, constraints.clone())
+                .with_compiled(scanned_compiled)
                 .with_wire_delays(wires.clone())
                 .with_clock_latency(layout.clock_tree.latency_ns.clone()),
             hier,
@@ -1097,30 +1130,14 @@ fn stage_timing_fix(
         Some(inc.with_max_cone_fraction(options.sta_cone_fraction))
     };
     let rerun_sta = |eco: &mut EcoSession,
-                         wires: &mut Vec<f64>,
-                         engine: &mut Option<IncrementalSta>|
+                     wires: &mut Vec<f64>,
+                     engine: &mut Option<IncrementalSta>|
      -> Result<(TimingReport, UpdateStats), StaError> {
         // ECO-inserted nets get the short-wire estimate (they are
         // placed next to their driver in a real flow)
         wires.resize(eco.netlist().num_nets(), 0.01);
         let delta = eco.take_delta();
-        let inc = match engine {
-            Some(inc) => inc,
-            None => {
-                // graceful fallback: the loops engaged without a
-                // baseline (clean pre-ECO timing) — baseline now; the
-                // fresh annotation already reflects the edits in
-                // `delta`, and re-timing their cones is idempotent
-                let (inc, _) = sta_with_hier(
-                    Sta::new(eco.netlist(), &options.tech, constraints.clone())
-                        .with_wire_delays(wires.clone())
-                        .with_clock_latency(layout.clock_tree.latency_ns.clone()),
-                    hier,
-                )
-                .into_incremental()?;
-                engine.insert(inc.with_max_cone_fraction(options.sta_cone_fraction))
-            }
-        };
+        let inc = engine.as_mut().expect("a fix loop runs only on an unclean sign-off");
         inc.set_wire_delays(wires.clone());
         let report = inc.update(eco.netlist(), &options.tech, &delta)?;
         Ok((report, *inc.stats()))
@@ -1183,26 +1200,25 @@ fn stage_timing_fix(
     }
     // Two-corner sign-off of the post-ECO netlist: setup where delays
     // are slowest, hold where they are fastest, both corners analyzed
-    // concurrently over the flow's parallelism setting. When timing
-    // needed fixing, the engine's journal-patched snapshot already
-    // mirrors the final netlist, so the stage compiles once either way.
+    // concurrently over the flow's parallelism setting, over the final
+    // netlist's snapshot: the engine's, patched by the update that ends
+    // every fix round, or the scanned one when no fix loop ran.
+    assert!(eco.delta().is_empty(), "every fix round ends in an engine update");
+    let compiled = engine.map_or_else(|| scanned_compiled.clone(), IncrementalSta::into_compiled);
     wires.resize(eco.netlist().num_nets(), 0.01);
     let base = sta_with_hier(
-        Sta::new(eco.netlist(), &options.tech, constraints.clone())
-            .with_wire_delays(wires.clone())
+        Sta::new(eco.netlist(), &options.tech, constraints)
+            .with_compiled(&compiled)
+            .with_wire_delays(wires)
             .with_clock_latency(layout.clock_tree.latency_ns.clone()),
         hier,
     );
-    let (slow, fast, par) = (Corner::worst(), Corner::best(), options.parallelism);
-    let corner_signoff = match &engine {
-        Some(inc) if eco.delta().is_empty() => {
-            multi_corner::signoff_on(&base, inc.compiled(), slow, fast, par)?
-        }
-        _ => multi_corner::signoff(&base, slow, fast, par)?,
-    };
+    let corner_signoff =
+        multi_corner::signoff(&base, Corner::worst(), Corner::best(), options.parallelism)?;
     let (netlist, _) = eco.finish();
     Ok(TimingFixOutcome {
         netlist,
+        compiled,
         signoff_timing,
         corner_signoff,
         timing_ecos,

@@ -24,6 +24,12 @@
 //! [`FlowResult`](crate::flow::FlowResult) fingerprints match an
 //! uninterrupted run for a kill after every one of the nine stages.
 //!
+//! Compiled netlist snapshots are never encoded: decode re-derives the
+//! scanned and final netlists' snapshots by compiling them (a netlist
+//! that does not compile is [`CodecError::Corrupt`]). A fresh compile
+//! equals a journal-patched snapshot in everything the stages read, so
+//! a resumed job's results do not change.
+//!
 //! [`FlowOptions`] is also `Codec`: a durable job spec must pin the
 //! *exact* options, or a restarted farm could resume a job under
 //! different knobs and break bit-identity.
@@ -34,6 +40,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use camsoc_netlist::codec::{Codec, CodecError, Decoder, Encoder};
+use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_netlist::graph::Netlist;
 
 use crate::flow::{FlowCheckpoint, FlowOptions, FlowState, TimingFixOutcome};
@@ -193,6 +200,12 @@ impl Codec for FlowOptions {
     }
 }
 
+/// Re-derive the snapshot of a decoded `what` netlist.
+fn snapshot_of(nl: &Netlist, what: &str) -> Result<CompiledNetlist, CodecError> {
+    nl.compile()
+        .map_err(|e| CodecError::Corrupt(format!("{what} netlist does not compile: {e}")))
+}
+
 impl Codec for TimingFixOutcome {
     fn encode(&self, e: &mut Encoder) {
         self.netlist.encode(e);
@@ -203,8 +216,10 @@ impl Codec for TimingFixOutcome {
         e.put_usize(self.sta_full_evals);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let netlist = Netlist::decode(d)?;
         Ok(TimingFixOutcome {
-            netlist: Netlist::decode(d)?,
+            compiled: snapshot_of(&netlist, "final")?,
+            netlist,
             signoff_timing: Codec::decode(d)?,
             corner_signoff: Codec::decode(d)?,
             timing_ecos: d.get_usize()?,
@@ -235,11 +250,12 @@ impl Codec for FlowState {
         }
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(FlowState {
+        let mut state = FlowState {
             input: Codec::decode(d)?,
             validated: d.get_bool()?,
             pre_layout_timing: Codec::decode(d)?,
             scanned: Codec::decode(d)?,
+            scanned_compiled: None,
             scan: Codec::decode(d)?,
             atpg: Codec::decode(d)?,
             layout: Codec::decode(d)?,
@@ -251,7 +267,10 @@ impl Codec for FlowState {
                 1 => Some(d.get_bytes()?),
                 t => Err(CodecError::Corrupt(format!("gds option tag {t:#04x}")))?,
             },
-        })
+        };
+        state.scanned_compiled =
+            state.scanned.as_ref().map(|nl| snapshot_of(nl, "scanned")).transpose()?;
+        Ok(state)
     }
 }
 
@@ -416,6 +435,63 @@ mod tests {
         assert_eq!(FlowCheckpoint::load(&path).unwrap(), b);
         assert!(!sibling_tmp(&path).exists(), "temp file must not survive");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two inverters driving each other: decodes as a netlist, but does
+    /// not compile.
+    fn ring() -> Netlist {
+        use camsoc_netlist::cell::{Cell, CellFunction, Drive};
+        let mut nl = Netlist::new("ring");
+        let a = nl.add_net("a").unwrap();
+        let b = nl.add_net("b").unwrap();
+        let inv = Cell::new(CellFunction::Inv, Drive::X1);
+        nl.add_instance("u0", inv, &[a], b, None, "top").unwrap();
+        nl.add_instance("u1", inv, &[b], a, None, "top").unwrap();
+        nl
+    }
+
+    #[test]
+    fn decoding_a_netlist_with_a_loop_is_a_typed_error() {
+        // snapshots are not encoded, so either state encodes without one
+        let scanned = FlowCheckpoint {
+            state: FlowState { scanned: Some(ring()), ..FlowState::default() },
+            ..FlowCheckpoint::default()
+        };
+        // the final netlist's slot carries a real outcome of another design
+        use camsoc_par::Parallelism;
+        use camsoc_sta::{multi_corner, Constraints, Corner, Sta};
+        let good = block(6);
+        let tech = camsoc_netlist::tech::Technology::default();
+        let sta = Sta::new(&good, &tech, Constraints::single_clock("clk", 7.5));
+        let fix = FlowCheckpoint {
+            state: FlowState {
+                fix: Some(TimingFixOutcome {
+                    netlist: ring(),
+                    compiled: good.compile().unwrap(),
+                    signoff_timing: sta.analyze().unwrap(),
+                    corner_signoff: multi_corner::signoff(
+                        &sta,
+                        Corner::worst(),
+                        Corner::best(),
+                        Parallelism::Serial,
+                    )
+                    .unwrap(),
+                    timing_ecos: 0,
+                    sta_incremental_evals: 0,
+                    sta_full_evals: 0,
+                }),
+                ..FlowState::default()
+            },
+            ..FlowCheckpoint::default()
+        };
+        for (ckpt, what) in [(scanned, "scanned"), (fix, "final")] {
+            match FlowCheckpoint::from_bytes(&ckpt.to_bytes()) {
+                Err(CodecError::Corrupt(m)) => {
+                    assert!(m.contains(&format!("{what} netlist does not compile")), "{m}")
+                }
+                other => panic!("{what}: expected a corrupt-checkpoint error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!    backtrack budget are *aborted*.
 
 use camsoc_netlist::cell::{CellFunction, MAX_CELL_INPUTS};
+use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_netlist::generate::SplitMix64;
 use camsoc_netlist::graph::{NetDriver, NetId, Netlist};
 use camsoc_netlist::NetlistError;
@@ -235,13 +236,27 @@ impl<'a> Atpg<'a> {
     ///
     /// Propagates [`NetlistError::CombinationalCycle`].
     pub fn new(nl: &'a Netlist, cfg: AtpgConfig) -> Result<Self, NetlistError> {
-        let cc = CombCircuit::new(nl)?;
-        let full = FaultList::generate(nl);
+        Ok(Self::on(CombCircuit::new(nl)?, cfg))
+    }
+
+    /// Prepare ATPG over `compiled`, a current snapshot of `nl` the
+    /// caller already holds (see [`CombCircuit::with_compiled`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's instance or net count differs from the
+    /// netlist's.
+    pub fn with_compiled(nl: &'a Netlist, compiled: &'a CompiledNetlist, cfg: AtpgConfig) -> Self {
+        Self::on(CombCircuit::with_compiled(nl, compiled), cfg)
+    }
+
+    fn on(cc: CombCircuit<'a>, cfg: AtpgConfig) -> Self {
+        let full = FaultList::generate(cc.nl);
         let faults = match cfg.fault_sample {
             Some(n) => full.sample(n),
             None => full,
         };
-        Ok(Atpg { cc, faults, cfg })
+        Atpg { cc, faults, cfg }
     }
 
     /// Access the prepared combinational circuit.

@@ -24,7 +24,7 @@
 //!   stamped (event-reached) gates visits exactly the gates the heap
 //!   would pop; two sound early exits (all excited lanes detected, no
 //!   pending events left) make the cached path evaluate *fewer* gates.
-//!   Gate reads go through the flat SoA/CSR arrays of an owned
+//!   Gate reads go through the flat SoA/CSR arrays of a
 //!   [`CompiledNetlist`] (cell table, CSR fanin, output array) instead
 //!   of chasing `Instance` structs — cache lines carry only the fields
 //!   the inner loop touches.
@@ -33,6 +33,7 @@
 //! and container allocations for both engines, mirroring the STA
 //! engine's `UpdateStats`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -139,10 +140,11 @@ pub struct ConeIndex {
 
 impl ConeIndex {
     fn build(cc: &CombCircuit<'_>) -> ConeIndex {
-        let num_nets = cc.compiled.num_nets();
+        let cn: &CompiledNetlist = &cc.compiled;
+        let num_nets = cn.num_nets();
         let mut start = Vec::with_capacity(num_nets + 1);
         let mut items: Vec<u32> = Vec::new();
-        let mut stamp = vec![0u32; cc.compiled.num_instances()];
+        let mut stamp = vec![0u32; cn.num_instances()];
         let mut stack: Vec<NetId> = Vec::new();
         for n in 0..num_nets {
             start.push(items.len());
@@ -154,7 +156,7 @@ impl ConeIndex {
                     if stamp[g.index()] != epoch {
                         stamp[g.index()] = epoch;
                         items.push(g.0);
-                        stack.push(cc.compiled.output(g));
+                        stack.push(cn.output(g));
                     }
                 }
             }
@@ -230,9 +232,11 @@ impl FsimScratch {
 pub struct CombCircuit<'a> {
     /// The netlist.
     pub nl: &'a Netlist,
-    /// Flat SoA/CSR snapshot ([`Netlist::compile`]) the hot loops read
-    /// instead of chasing `Instance` structs through `nl`.
-    pub compiled: CompiledNetlist,
+    /// Flat SoA/CSR snapshot of `nl` the hot loops read instead of
+    /// chasing `Instance` structs: the caller's
+    /// ([`CombCircuit::with_compiled`]) or compiled by
+    /// [`CombCircuit::new`].
+    pub compiled: Cow<'a, CompiledNetlist>,
     /// Topological order of combinational instances (the compiled
     /// snapshot's `(level, id)`-sorted order — any valid topological
     /// order produces identical simulation values).
@@ -260,10 +264,27 @@ impl<'a> CombCircuit<'a> {
     ///
     /// Propagates [`NetlistError::CombinationalCycle`].
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        // one compile pass supplies the topological order and the logic
-        // levels (replacing separate Kahn + level derivations) plus the
-        // flat tables the simulation loops index
-        let compiled = nl.compile()?;
+        Ok(Self::build(nl, Cow::Owned(nl.compile()?)))
+    }
+
+    /// Prepare the circuit over `compiled`, a current snapshot of `nl`
+    /// the caller already holds, instead of compiling one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's instance or net count differs from the
+    /// netlist's.
+    pub fn with_compiled(nl: &'a Netlist, compiled: &'a CompiledNetlist) -> Self {
+        assert!(
+            compiled.num_instances() == nl.num_instances() && compiled.num_nets() == nl.num_nets(),
+            "compiled snapshot does not match the netlist"
+        );
+        Self::build(nl, Cow::Borrowed(compiled))
+    }
+
+    fn build(nl: &'a Netlist, compiled: Cow<'a, CompiledNetlist>) -> Self {
+        // the snapshot supplies the topological order and the logic
+        // levels plus the flat tables the simulation loops index
         let order = compiled.topo_order().to_vec();
         let level: Vec<usize> =
             (0..nl.num_instances()).map(|i| compiled.level(InstanceId(i as u32))).collect();
@@ -317,7 +338,7 @@ impl<'a> CombCircuit<'a> {
             }
         }
         let source_index = sources.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        Ok(CombCircuit {
+        CombCircuit {
             nl,
             compiled,
             order,
@@ -328,7 +349,7 @@ impl<'a> CombCircuit<'a> {
             level,
             source_index,
             cones: OnceLock::new(),
-        })
+        }
     }
 
     /// The shared cone index, built on first use (thread-safe).
@@ -342,18 +363,18 @@ impl<'a> CombCircuit<'a> {
     /// for every net.
     pub fn good_sim(&self, assign: &[u64]) -> Vec<u64> {
         debug_assert_eq!(assign.len(), self.sources.len());
-        let mut values = vec![0u64; self.compiled.num_nets()];
+        let cn: &CompiledNetlist = &self.compiled;
+        let mut values = vec![0u64; cn.num_nets()];
         for (&net, &v) in self.sources.iter().zip(assign) {
             values[net.index()] = v;
         }
         for &id in &self.order {
-            let fanin = self.compiled.fanin(id);
+            let fanin = cn.fanin(id);
             let mut ins = [0u64; MAX_CELL_INPUTS];
             for (k, &n) in fanin.iter().enumerate() {
                 ins[k] = values[n as usize];
             }
-            values[self.compiled.output(id).index()] =
-                self.compiled.function(id).eval(&ins[..fanin.len()]);
+            values[cn.output(id).index()] = cn.function(id).eval(&ins[..fanin.len()]);
         }
         values
     }
@@ -486,6 +507,7 @@ impl<'a> CombCircuit<'a> {
         scratch: &mut FsimScratch,
     ) -> u64 {
         scratch.stats.faults_simulated += 1;
+        let cn: &CompiledNetlist = &self.compiled;
         let epoch = scratch.next_epoch();
         let mut detected = 0u64;
         let mut pending = 0usize;
@@ -496,10 +518,10 @@ impl<'a> CombCircuit<'a> {
                 (net, net, if stuck_one { !0u64 } else { 0u64 })
             }
             StuckAtFault::Pin { inst, pin, stuck_one } => {
-                if self.compiled.is_sequential(inst) {
+                if cn.is_sequential(inst) {
                     return 0;
                 }
-                let fanin = self.compiled.fanin(inst);
+                let fanin = cn.fanin(inst);
                 let forced = if stuck_one { !0u64 } else { 0u64 };
                 let mut ins = [0u64; MAX_CELL_INPUTS];
                 for (k, &n) in fanin.iter().enumerate() {
@@ -507,9 +529,9 @@ impl<'a> CombCircuit<'a> {
                 }
                 ins[pin] = forced;
                 scratch.stats.gate_evals += 1;
-                let out = self.compiled.function(inst).eval(&ins[..fanin.len()]);
+                let out = cn.function(inst).eval(&ins[..fanin.len()]);
                 // branch faults share their stem net's cone
-                (NetId(fanin[pin]), self.compiled.output(inst), out)
+                (NetId(fanin[pin]), cn.output(inst), out)
             }
         };
         let excited = seed_val ^ good[seed_net.index()];
@@ -542,7 +564,7 @@ impl<'a> CombCircuit<'a> {
             }
             pending -= 1;
             let id = InstanceId(raw);
-            let fanin = self.compiled.fanin(id);
+            let fanin = cn.fanin(id);
             let mut ins = [0u64; MAX_CELL_INPUTS];
             for (k, &n) in fanin.iter().enumerate() {
                 let ni = n as usize;
@@ -553,8 +575,8 @@ impl<'a> CombCircuit<'a> {
                 };
             }
             scratch.stats.gate_evals += 1;
-            let out = self.compiled.function(id).eval(&ins[..fanin.len()]);
-            let oi = self.compiled.output(id).index();
+            let out = cn.function(id).eval(&ins[..fanin.len()]);
+            let oi = cn.output(id).index();
             // each net is written at most once per fault (its single
             // driver evaluates once), so prev is always the good value
             let diff = out ^ good[oi];

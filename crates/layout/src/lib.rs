@@ -25,7 +25,9 @@
 //! * [`gdsii`] — binary GDSII stream writer (the tape-out artifact).
 //!
 //! The one-call driver is [`implement`], which runs the whole back end
-//! and returns a [`LayoutResult`] with the sign-off artefacts.
+//! and returns a [`LayoutResult`] with the sign-off artefacts. Its two
+//! timing analyses (timing-driven placement's critical path and the
+//! sign-off STA) share one compiled snapshot of the netlist.
 
 pub mod codec;
 pub mod cts;
@@ -40,9 +42,10 @@ pub mod si;
 
 use std::collections::HashMap;
 
+use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_netlist::graph::Netlist;
 use camsoc_netlist::tech::Technology;
-use camsoc_sta::{Constraints, MacroTiming, Sta, TimingReport};
+use camsoc_sta::{Constraints, MacroTiming, Sta, StaError, TimingReport};
 
 /// Physical + timing view of pre-hardened macros, consumed by
 /// [`implement_with`]: exact outlines for the floorplanner (macros
@@ -161,34 +164,43 @@ impl From<camsoc_sta::StaError> for LayoutError {
 }
 
 /// Run the full back end: floorplan → place → CTS → route → extract →
-/// DRC → sign-off STA.
+/// DRC → sign-off STA, over one compile of `nl`.
 ///
 /// # Errors
 ///
-/// [`LayoutError`] if floorplanning or timing analysis fails, or if
-/// residual routing overflow exceeds [`ImplementOptions::max_overflow`].
+/// [`LayoutError`] if the netlist does not compile (a combinational
+/// cycle), floorplanning or timing analysis fails, or residual routing
+/// overflow exceeds [`ImplementOptions::max_overflow`].
 pub fn implement(
     nl: &Netlist,
     tech: &Technology,
     constraints: &Constraints,
     options: &ImplementOptions,
 ) -> Result<LayoutResult, LayoutError> {
-    implement_with(nl, tech, constraints, options, None)
+    let compiled = nl.compile().map_err(StaError::from)?;
+    implement_with(nl, &compiled, tech, constraints, options, None)
 }
 
-/// [`implement`] with pre-hardened macro knowledge: the floorplanner
+/// [`implement`] over `compiled`, a current snapshot of `nl` the caller
+/// already holds, with pre-hardened macro knowledge: the floorplanner
 /// places each hardened macro as a fixed obstacle of its exact
 /// hardened outline (placement legalizes around it, routing avoids its
 /// footprint via the shared floorplan), and the sign-off STA times
 /// through the abstracts' boundary arcs instead of the generic memory
-/// model. `None` (or an empty [`HardMacros`]) is exactly
-/// [`implement`].
+/// model. `None` (or an empty [`HardMacros`]) times every macro with the
+/// generic model, as [`implement`] does.
 ///
 /// # Errors
 ///
-/// Same as [`implement`].
+/// Same as [`implement`], except that nothing is compiled.
+///
+/// # Panics
+///
+/// Panics if the snapshot's instance or net count differs from the
+/// netlist's.
 pub fn implement_with(
     nl: &Netlist,
+    compiled: &CompiledNetlist,
     tech: &Technology,
     constraints: &Constraints,
     options: &ImplementOptions,
@@ -198,7 +210,14 @@ pub fn implement_with(
     let outlines = hard.map_or(&empty, |h| &h.outlines_um);
     let floorplan = floorplan::Floorplan::generate_with(nl, tech, outlines)
         .map_err(LayoutError::Floorplan)?;
-    let placement = place::place(nl, tech, &floorplan, constraints, &options.placement);
+    let placement = place::place_with_compiled(
+        nl,
+        compiled,
+        tech,
+        &floorplan,
+        constraints,
+        &options.placement,
+    );
     let clock_tree = cts::synthesize(nl, tech, &floorplan, &placement, &options.clock_port);
     let routing = route::route(nl, &floorplan, &placement, &options.routing);
     if let Some(cap) = options.max_overflow {
@@ -212,6 +231,7 @@ pub fn implement_with(
     let wire_delays_ns = extract::wire_delays(nl, tech, &routing);
     let drc = drc::check(nl, &floorplan, &placement, &routing);
     let mut sta = Sta::new(nl, tech, constraints.clone())
+        .with_compiled(compiled)
         .with_wire_delays(wire_delays_ns.clone())
         .with_clock_latency(clock_tree.latency_ns.clone());
     if let Some(h) = hard {

@@ -34,6 +34,10 @@
 //! Proposed boxes and costs live in reused buffers until the move is
 //! accepted; nothing is kept after [`place`] returns.
 //!
+//! The timing-driven weights come from one STA, over the caller's
+//! compiled snapshot when it lends one ([`place_with_compiled`]), else
+//! over a fresh compile.
+//!
 //! Every [`Placement`] is bit-identical to re-folding each touched net
 //! from scratch. Pin coordinates are slot centres or fixed-pin
 //! arithmetic, never NaN or `-0.0`, so `min`, `max` and `==` are exact
@@ -44,6 +48,7 @@
 
 use std::collections::HashMap;
 
+use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_netlist::generate::SplitMix64;
 use camsoc_netlist::graph::{InstanceId, NetId, Netlist};
 use camsoc_netlist::tech::Technology;
@@ -562,9 +567,19 @@ impl NetState {
     }
 }
 
-/// Critical-path nets from a pre-placement STA.
-fn critical_nets(nl: &Netlist, tech: &Technology, constraints: &Constraints) -> Vec<NetId> {
-    let path = Sta::new(nl, tech, constraints.clone()).analyze().ok().and_then(|r| r.critical_path);
+/// Critical-path nets from a pre-placement STA, over `compiled` when
+/// the caller holds a snapshot.
+fn critical_nets(
+    nl: &Netlist,
+    compiled: Option<&CompiledNetlist>,
+    tech: &Technology,
+    constraints: &Constraints,
+) -> Vec<NetId> {
+    let mut sta = Sta::new(nl, tech, constraints.clone());
+    if let Some(cn) = compiled {
+        sta = sta.with_compiled(cn);
+    }
+    let path = sta.analyze().ok().and_then(|r| r.critical_path);
     path.map_or_else(Vec::new, |p| p.steps.iter().filter_map(|s| nl.find_net(&s.net)).collect())
 }
 
@@ -579,6 +594,35 @@ pub fn place(
     constraints: &Constraints,
     config: &PlacementConfig,
 ) -> Placement {
+    place_on(nl, None, tech, fp, constraints, config)
+}
+
+/// [`place`] with a current snapshot of `nl` the caller already holds:
+/// timing-driven mode times it instead of compiling the netlist.
+///
+/// # Panics
+///
+/// In timing-driven mode, panics if the snapshot's instance or net
+/// count differs from the netlist's.
+pub fn place_with_compiled(
+    nl: &Netlist,
+    compiled: &CompiledNetlist,
+    tech: &Technology,
+    fp: &Floorplan,
+    constraints: &Constraints,
+    config: &PlacementConfig,
+) -> Placement {
+    place_on(nl, Some(compiled), tech, fp, constraints, config)
+}
+
+fn place_on(
+    nl: &Netlist,
+    compiled: Option<&CompiledNetlist>,
+    tech: &Technology,
+    fp: &Floorplan,
+    constraints: &Constraints,
+    config: &PlacementConfig,
+) -> Placement {
     let n = nl.num_instances();
     let iterations = if config.iterations > 0 {
         config.iterations
@@ -587,7 +631,7 @@ pub fn place(
     };
     let mut tables = PinTables::for_netlist(nl, fp);
     if config.mode == PlacementMode::TimingDriven {
-        for net in critical_nets(nl, tech, constraints) {
+        for net in critical_nets(nl, compiled, tech, constraints) {
             tables.weight[net.index()] = config.critical_weight;
         }
     }

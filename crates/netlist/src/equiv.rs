@@ -23,7 +23,7 @@
 //! walks' visited set, then the cone builds' net → node memo), the walk
 //! and build stacks, and one [`Bdd`] manager that is reset between
 //! cones. Cones are built on the [`CompiledNetlist`] the [`CombModel`]
-//! owns — CSR fanin rows in pin order, the function table and the dense
+//! holds — CSR fanin rows in pin order, the function table and the dense
 //! net → source table — by an iterative walk, so a deep cone costs heap,
 //! not stack. The manager's tables hash node handles with a small
 //! multiply-rotate hasher.
@@ -37,6 +37,7 @@
 //! and every [`EquivReport`] stays bit-identical at any thread count: a
 //! scratch carries capacity from cone to cone, never values.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -85,14 +86,15 @@ pub enum EquivEngine {
     Graph,
 }
 
-/// The combinational view of a netlist: sources, sinks, a topological
-/// evaluation order and a compiled SoA snapshot, ready for bit-parallel
-/// simulation.
+/// The combinational view of a netlist: sources, sinks and a compiled
+/// SoA snapshot (whose `(level, id)` order is the evaluation order),
+/// ready for bit-parallel simulation.
 #[derive(Debug)]
 pub struct CombModel<'a> {
     nl: &'a Netlist,
-    compiled: CompiledNetlist,
-    order: Vec<InstanceId>,
+    /// The caller's snapshot ([`CombModel::with_compiled`]) or one
+    /// compiled by [`CombModel::new`].
+    compiled: Cow<'a, CompiledNetlist>,
     /// Dense net → source-variable index (`u32::MAX` = not a source),
     /// in [`CombModel::sources`] iteration order.
     source_of_net: Vec<u32>,
@@ -109,8 +111,25 @@ impl<'a> CombModel<'a> {
     ///
     /// Propagates [`NetlistError::CombinationalCycle`].
     pub fn new(nl: &'a Netlist) -> Result<Self, NetlistError> {
-        let compiled = nl.compile()?;
-        let order = compiled.topo_order().to_vec();
+        Ok(Self::build(nl, Cow::Owned(nl.compile()?)))
+    }
+
+    /// Build the combinational view over `compiled`, a current snapshot
+    /// of `nl` the caller already holds, instead of compiling one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's instance or net count differs from the
+    /// netlist's.
+    pub fn with_compiled(nl: &'a Netlist, compiled: &'a CompiledNetlist) -> Self {
+        assert!(
+            compiled.num_instances() == nl.num_instances() && compiled.num_nets() == nl.num_nets(),
+            "compiled snapshot does not match the netlist"
+        );
+        Self::build(nl, Cow::Borrowed(compiled))
+    }
+
+    fn build(nl: &'a Netlist, compiled: Cow<'a, CompiledNetlist>) -> Self {
         let mut sources = BTreeMap::new();
         let mut sinks = BTreeMap::new();
         for (_, port) in nl.input_ports() {
@@ -139,7 +158,7 @@ impl<'a> CombModel<'a> {
         for (i, &net) in sources.values().enumerate() {
             source_of_net[net.index()] = i as u32;
         }
-        Ok(CombModel { nl, compiled, order, source_of_net, sources, sinks })
+        CombModel { nl, compiled, source_of_net, sources, sinks }
     }
 
     /// Evaluate the combinational core bit-parallel, walking the
@@ -151,12 +170,12 @@ impl<'a> CombModel<'a> {
     /// [`CombModel::eval_graph`].
     pub fn eval(&self, assign: &[u64]) -> Vec<u64> {
         debug_assert_eq!(assign.len(), self.sources.len());
-        let cn = &self.compiled;
+        let cn: &CompiledNetlist = &self.compiled;
         let mut values = vec![0u64; cn.num_nets()];
         for (value, (_, &net)) in assign.iter().zip(self.sources.iter()) {
             values[net.index()] = *value;
         }
-        for &id in &self.order {
+        for &id in cn.topo_order() {
             let f = cn.function(id);
             let out = match f {
                 CellFunction::Tie0 => 0,
@@ -185,7 +204,7 @@ impl<'a> CombModel<'a> {
         for (value, (_, &net)) in assign.iter().zip(self.sources.iter()) {
             values[net.index()] = *value;
         }
-        for &id in &self.order {
+        for &id in self.compiled.topo_order() {
             let inst = self.nl.instance(id);
             let f = inst.function();
             let out = match f {
@@ -248,7 +267,7 @@ impl<'a> CombModel<'a> {
         out: &mut Vec<usize>,
         cap: usize,
     ) -> bool {
-        let cn = &self.compiled;
+        let cn: &CompiledNetlist = &self.compiled;
         slots.begin(cn.num_nets());
         let start = out.len();
         stack.clear();
@@ -738,10 +757,8 @@ impl EquivReport {
     }
 }
 
-/// Check combinational equivalence of two netlists.
-///
-/// Interfaces (ports, state elements, macros) are matched by name; see
-/// the module docs for the method.
+/// Check combinational equivalence of two netlists: [`check_models`]
+/// over a fresh compile of each.
 ///
 /// # Errors
 ///
@@ -751,33 +768,40 @@ pub fn check_equivalence(
     b: &Netlist,
     options: &EquivOptions,
 ) -> Result<EquivReport, NetlistError> {
-    let ma = CombModel::new(a)?;
-    let mb = CombModel::new(b)?;
+    Ok(check_models(&CombModel::new(a)?, &CombModel::new(b)?, options))
+}
 
+/// Check combinational equivalence of two prepared models, such as ones
+/// built with [`CombModel::with_compiled`] over snapshots the caller
+/// already holds.
+///
+/// Interfaces (ports, state elements, macros) are matched by name; see
+/// the module docs for the method.
+pub fn check_models(ma: &CombModel<'_>, mb: &CombModel<'_>, options: &EquivOptions) -> EquivReport {
     // Interface match: sources must be identical; sinks must be identical.
     if ma.sources.keys().ne(mb.sources.keys()) {
         let only_a: Vec<_> = ma.sources.keys().filter(|k| !mb.sources.contains_key(*k)).collect();
         let only_b: Vec<_> = mb.sources.keys().filter(|k| !ma.sources.contains_key(*k)).collect();
-        return Ok(EquivReport {
+        return EquivReport {
             verdict: EquivVerdict::InterfaceMismatch {
                 detail: format!("source sets differ (a-only {only_a:?}, b-only {only_b:?})"),
             },
             sinks_compared: 0,
             cones_proven: 0,
             vectors_applied: 0,
-        });
+        };
     }
     if ma.sinks.keys().ne(mb.sinks.keys()) {
         let only_a: Vec<_> = ma.sinks.keys().filter(|k| !mb.sinks.contains_key(*k)).collect();
         let only_b: Vec<_> = mb.sinks.keys().filter(|k| !ma.sinks.contains_key(*k)).collect();
-        return Ok(EquivReport {
+        return EquivReport {
             verdict: EquivVerdict::InterfaceMismatch {
                 detail: format!("sink sets differ (a-only {only_a:?}, b-only {only_b:?})"),
             },
             sinks_compared: 0,
             cones_proven: 0,
             vectors_applied: 0,
-        });
+        };
     }
 
     let nsrc = ma.sources.len();
@@ -802,12 +826,12 @@ pub fn check_equivalence(
         (0..nsink).find(|&i| sa[i] != sb[i])
     });
     if let Some((round, sink)) = mismatch {
-        return Ok(EquivReport {
+        return EquivReport {
             verdict: EquivVerdict::NotEquivalent { sink: sink_keys[sink].clone() },
             sinks_compared: nsink,
             cones_proven: 0,
             vectors_applied: 64 * (round + 1),
-        });
+        };
     }
     let vectors = 64 * options.random_rounds;
 
@@ -822,7 +846,7 @@ pub fn check_equivalence(
         options.parallelism,
         &sink_nets,
         || ProofScratch::new(options.bdd_node_limit),
-        |scratch, &(net_a, net_b)| scratch.prove(&ma, &mb, net_a, net_b, options),
+        |scratch, &(net_a, net_b)| scratch.prove(ma, mb, net_a, net_b, options),
     );
     let mut proven = 0usize;
     let mut unproven = 0usize;
@@ -831,12 +855,12 @@ pub fn check_equivalence(
             ConeOutcome::Proven => proven += 1,
             ConeOutcome::Unproven => unproven += 1,
             ConeOutcome::Mismatch => {
-                return Ok(EquivReport {
+                return EquivReport {
                     verdict: EquivVerdict::NotEquivalent { sink: key.clone() },
                     sinks_compared: nsink,
                     cones_proven: proven,
                     vectors_applied: vectors,
-                });
+                };
             }
         }
     }
@@ -846,7 +870,7 @@ pub fn check_equivalence(
     } else {
         EquivVerdict::ProbablyEquivalent { unproven_cones: unproven }
     };
-    Ok(EquivReport { verdict, sinks_compared: nsink, cones_proven: proven, vectors_applied: vectors })
+    EquivReport { verdict, sinks_compared: nsink, cones_proven: proven, vectors_applied: vectors }
 }
 
 /// The exact phase's verdict on one sink.
@@ -940,7 +964,7 @@ impl ProofScratch {
         root: NetId,
         union: &[usize],
     ) -> Result<BddRef, BddOverflow> {
-        let cn = &model.compiled;
+        let cn: &CompiledNetlist = &model.compiled;
         let ProofScratch { slots, frames, mgr, .. } = self;
         slots.begin(cn.num_nets());
         if let Some(r) = resolve(model, root.0, union, slots, mgr)? {

@@ -97,6 +97,11 @@ where
 /// which items previously used a given scratch is a scheduling accident
 /// — or the input-order determinism guarantee is void; counters and
 /// epoch-stamped overlays are fine, carried values are not.
+///
+/// # Panics
+///
+/// If `init` or `f` panics, so does the call, with that panic's payload,
+/// once every worker has stopped.
 pub fn map_range_with<S, R, I, F>(par: Parallelism, n: usize, init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -116,20 +121,32 @@ where
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(nchunks));
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= nchunks {
-                        break;
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut scratch = init();
+                    loop {
+                        let c = next.fetch_add(1, Ordering::Relaxed);
+                        if c >= nchunks {
+                            break;
+                        }
+                        let start = c * chunk;
+                        let end = (start + chunk).min(n);
+                        let out: Vec<R> = (start..end).map(|i| f(&mut scratch, i)).collect();
+                        done.lock().expect("no poisoned worker").push((c, out));
                     }
-                    let start = c * chunk;
-                    let end = (start + chunk).min(n);
-                    let out: Vec<R> = (start..end).map(|i| f(&mut scratch, i)).collect();
-                    done.lock().expect("no poisoned worker").push((c, out));
-                }
-            });
+                })
+            })
+            .collect();
+        // Join every worker here: the scope alone returns once the
+        // closures finish, before their OS threads exit and hand their
+        // malloc arenas back, so the next call's workers could create
+        // fresh arenas. A worker's panic reaches the caller with its
+        // own payload.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     let mut parts = done.into_inner().expect("scope joined all workers");
@@ -312,6 +329,26 @@ mod tests {
             map_range_with(Parallelism::Threads(4), 0, || 0u8, |_, i| i),
             Vec::<usize>::new()
         );
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        for threads in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                map_range(Parallelism::Threads(threads), 16, |i| {
+                    if i == 11 {
+                        std::panic::panic_any(format!("item {i} failed"));
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the caller must panic");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("item 11 failed"),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Arrival/required propagation, setup & hold checks, slack reporting.
 //!
-//! Graph-based STA in the classic form: launch points are primary inputs
-//! (at their external input delay), flip-flop Q pins (at clock latency +
-//! clock-to-Q) and macro output pins; capture points are flip-flop data
-//! pins (setup against the capture clock period), macro input pins and
-//! primary outputs. Max arrivals feed setup checks, min arrivals feed
-//! hold checks; both are derated by the active [`Corner`].
+//! Static timing analysis in the classic form: launch points are
+//! primary inputs (at their external input delay), flip-flop Q pins (at
+//! clock latency + clock-to-Q) and macro output pins; capture points
+//! are flip-flop data pins (setup against the capture clock period),
+//! macro input pins and primary outputs. Max arrivals feed setup
+//! checks, min arrivals feed hold checks; both are derated by the
+//! active [`Corner`].
+//!
+//! Every pass walks a [`CompiledNetlist`] snapshot of the netlist: its
+//! `(level, id)` topological order, CSR fanin rows and fanout rows. A
+//! caller that already holds a current snapshot lends it with
+//! [`Sta::with_compiled`]; otherwise each entry point compiles once.
 //!
 //! The analysis is split into two phases so the incremental engine in
 //! [`crate::incremental`] can reuse them:
 //!
-//! 1. [`Sta::annotate`] — the expensive graph pass. Propagates max/min
-//!    arrivals forward in levelized (topological) order and setup
-//!    required times backward, producing an [`Annotation`] with per-net
-//!    timing state and an evaluation counter.
+//! 1. [`Sta::annotate`] — the expensive pass. Propagates max/min
+//!    arrivals forward in level order and setup required times
+//!    backward, producing an [`Annotation`] with per-net timing state
+//!    and an evaluation counter.
 //! 2. [`Sta::report_from`] — the cheap summarization. Walks every
 //!    endpoint, accumulates WNS/TNS, and backtraces the critical path.
 //!    It performs no delay evaluation, so re-running it after a partial
@@ -21,6 +27,7 @@
 //!
 //! [`Sta::analyze`] is simply `annotate` followed by `report_from`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -68,6 +75,16 @@ impl fmt::Display for StaError {
 }
 
 impl std::error::Error for StaError {}
+
+/// [`Netlist::compile`]'s only failure is a combinational cycle.
+impl From<NetlistError> for StaError {
+    fn from(e: NetlistError) -> Self {
+        match e {
+            NetlistError::CombinationalCycle { net } => StaError::CombinationalCycle(net),
+            other => StaError::CombinationalCycle(other.to_string()),
+        }
+    }
+}
 
 /// Summary of one check type (setup or hold).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +134,7 @@ impl TimingReport {
     }
 }
 
-/// Per-net timing state produced by [`Sta::annotate`] — the levelized
+/// Per-net timing state produced by [`Sta::annotate`] — the
 /// arrival/required annotation an incremental update keeps alive between
 /// edits.
 ///
@@ -138,7 +155,8 @@ pub struct Annotation {
     pub(crate) pred: Vec<Option<(InstanceId, NetId)>>,
     /// Launch-point label per net (set only at timing startpoints).
     pub(crate) start_label: Vec<Option<String>>,
-    /// Levelized evaluation order of the combinational instances.
+    /// Evaluation order of the combinational instances: the snapshot's
+    /// `(level, id)` order.
     pub(crate) order: Vec<InstanceId>,
     /// Capture-clock period per flip-flop.
     pub(crate) flop_clock: HashMap<InstanceId, f64>,
@@ -175,8 +193,8 @@ impl Annotation {
         Some(self.required_max(net)? - self.arrival_max(net)?)
     }
 
-    /// The levelized (topological) order the combinational instances
-    /// were evaluated in.
+    /// The topological order the combinational instances were
+    /// evaluated in: the compiled snapshot's `(level, id)` order.
     pub fn topo_order(&self) -> &[InstanceId] {
         &self.order
     }
@@ -190,12 +208,14 @@ impl Annotation {
 
 /// The analyzer. Build with [`Sta::new`], optionally refine with
 /// [`Sta::with_corner`], [`Sta::with_wire_delays`],
-/// [`Sta::with_clock_latency`], then call [`Sta::analyze`] — or
-/// [`Sta::into_incremental`] to keep the annotation alive for
-/// incremental ECO updates.
+/// [`Sta::with_clock_latency`], [`Sta::with_compiled`], then call
+/// [`Sta::analyze`] — or [`Sta::into_incremental`] to keep the
+/// annotation alive for incremental ECO updates.
 pub struct Sta<'a> {
     pub(crate) nl: &'a Netlist,
     pub(crate) tech: &'a Technology,
+    /// The caller's snapshot of `nl`; `None` → compile per entry point.
+    pub(crate) compiled: Option<&'a CompiledNetlist>,
     pub(crate) constraints: Constraints,
     pub(crate) corner: Corner,
     /// Per-net wire delay (ns) from extraction; `None` → fanout estimate.
@@ -213,6 +233,7 @@ impl<'a> Sta<'a> {
         Sta {
             nl,
             tech,
+            compiled: None,
             constraints,
             corner: Corner::typical(),
             wire_delays_ns: None,
@@ -228,12 +249,13 @@ impl<'a> Sta<'a> {
     }
 
     /// A sibling analyzer at `corner` sharing this one's netlist, tech,
-    /// constraints, wire delays and clock latencies — the per-corner
-    /// worker [`crate::multi_corner`] fans out over.
+    /// snapshot, constraints, wire delays and clock latencies — the
+    /// per-corner worker [`crate::multi_corner`] fans out over.
     pub(crate) fn at_corner(&self, corner: Corner) -> Sta<'a> {
         Sta {
             nl: self.nl,
             tech: self.tech,
+            compiled: self.compiled,
             constraints: self.constraints.clone(),
             corner,
             wire_delays_ns: self.wire_delays_ns.clone(),
@@ -259,6 +281,27 @@ impl<'a> Sta<'a> {
         self
     }
 
+    /// Time over `compiled`, a snapshot of this analyzer's netlist that
+    /// the caller already holds, instead of compiling one per
+    /// [`Sta::analyze`], [`Sta::annotate`], [`Sta::into_incremental`] or
+    /// [`crate::multi_corner`] call. The snapshot must be current: a
+    /// fresh [`Netlist::compile`] of the netlist, or one kept coherent
+    /// through [`CompiledNetlist::patch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's instance or net count differs from the
+    /// netlist's.
+    pub fn with_compiled(mut self, compiled: &'a CompiledNetlist) -> Self {
+        assert!(
+            compiled.num_instances() == self.nl.num_instances()
+                && compiled.num_nets() == self.nl.num_nets(),
+            "compiled snapshot does not match the netlist"
+        );
+        self.compiled = Some(compiled);
+        self
+    }
+
     /// Time macro boundaries through hardened-abstract models, keyed by
     /// macro instance name. Macros without an entry keep the generic
     /// memory arcs, so legacy SRAM-macro designs are bit-unchanged.
@@ -274,21 +317,6 @@ impl<'a> Sta<'a> {
                 self.tech.wire_delay_ns_per_mm * EST_WIRE_MM_PER_FANOUT * fanout as f64
             }
         }
-    }
-
-    /// Stage delay of `inst` driving its output net under the late
-    /// (setup-launch) derate: cell delay plus wire delay.
-    pub(crate) fn late_delay(&self, id: InstanceId, fanout_out: usize) -> f64 {
-        let inst = self.nl.instance(id);
-        self.tech.cell_delay_ns(inst.cell, fanout_out) * self.corner.late
-            + self.wire_delay(inst.output, fanout_out) * self.corner.late
-    }
-
-    /// Stage delay of `inst` under the early (hold-launch) derate.
-    pub(crate) fn early_delay(&self, id: InstanceId, fanout_out: usize) -> f64 {
-        let inst = self.nl.instance(id);
-        self.tech.cell_delay_ns(inst.cell, fanout_out) * self.corner.early
-            + self.wire_delay(inst.output, fanout_out) * self.corner.early
     }
 
     /// Map from clock-port net to clock definition.
@@ -380,8 +408,8 @@ impl<'a> Sta<'a> {
     /// that are not timing startpoints (gate outputs, clock ports,
     /// latch outputs, undriven nets) are reset to the untimed state.
     ///
-    /// Exactly mirrors the seeding loop in [`Sta::annotate`] so an
-    /// incremental re-seed is bit-identical.
+    /// [`Sta::annotate`] seeds every launch point through this routine,
+    /// so an incremental re-seed is bit-identical.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn seed_net(
         &self,
@@ -440,51 +468,6 @@ impl<'a> Sta<'a> {
             }
             None => {}
         }
-    }
-
-    /// Evaluate one combinational gate: recompute the max/min arrival
-    /// and critical predecessor of its output net from its inputs.
-    /// Returns `false` (no evaluation) for tie cells.
-    pub(crate) fn eval_forward(
-        &self,
-        id: InstanceId,
-        fanout: &[usize],
-        at_max: &mut [f64],
-        at_min: &mut [f64],
-        pred: &mut [Option<(InstanceId, NetId)>],
-    ) -> bool {
-        let inst = self.nl.instance(id);
-        if inst.function().is_tie() {
-            return false; // constants do not launch timing
-        }
-        let out = inst.output;
-        let o = out.index();
-        at_max[o] = NEG;
-        at_min[o] = POS;
-        pred[o] = None;
-        let cell_late = self.late_delay(id, fanout[o]);
-        let cell_early = self.early_delay(id, fanout[o]);
-        let mut best_max = NEG;
-        let mut best_net = None;
-        let mut best_min = POS;
-        for &i in &inst.inputs {
-            if at_max[i.index()] > best_max {
-                best_max = at_max[i.index()];
-                best_net = Some(i);
-            }
-            best_min = best_min.min(at_min[i.index()]);
-        }
-        if best_max > NEG {
-            let v = best_max + cell_late;
-            if v > at_max[o] {
-                at_max[o] = v;
-                pred[o] = Some((id, best_net.expect("max input")));
-            }
-        }
-        if best_min < POS {
-            at_min[o] = at_min[o].min(best_min + cell_early);
-        }
-        true
     }
 
     /// The flop-independent part of the endpoint requirement: macro
@@ -583,197 +566,49 @@ impl<'a> Sta<'a> {
         req
     }
 
-    /// Recompute the setup required time of `net`: the minimum of its
-    /// direct endpoint constraint and, for each combinational reader,
-    /// the reader's output required time minus the reader's stage
-    /// delay. Readers are folded in fanout-map order so the result is
-    /// bit-reproducible regardless of which cone triggered the
-    /// recomputation.
-    pub(crate) fn eval_required(
-        &self,
-        net: NetId,
-        fanout_map: &[Vec<(InstanceId, usize)>],
-        fanout: &[usize],
-        endpoint_req: &[f64],
-        req_max: &[f64],
-    ) -> f64 {
-        let mut req = endpoint_req[net.index()];
-        for &(reader, pin) in &fanout_map[net.index()] {
-            if pin == usize::MAX {
-                continue; // clock pin
-            }
-            let inst = self.nl.instance(reader);
-            if inst.function().is_sequential() || inst.function().is_tie() {
-                continue; // flop data pins are endpoints, not propagation
-            }
-            let out = inst.output.index();
-            if req_max[out] == POS {
-                continue;
-            }
-            req = req.min(req_max[out] - self.late_delay(reader, fanout[out]));
-        }
-        req
-    }
-
-    /// Run the full annotation pass: levelize, seed launch points,
-    /// propagate arrivals forward and setup required times backward.
+    /// Run the full annotation pass over the snapshot: seed launch
+    /// points, propagate arrivals forward and setup required times
+    /// backward.
     ///
     /// # Errors
     ///
     /// [`StaError::NoClock`] for sequential designs without clocks,
     /// [`StaError::UnclockedFlop`] for unreachable clock pins,
-    /// [`StaError::CombinationalCycle`] for loops.
+    /// [`StaError::CombinationalCycle`] for loops (found by compiling,
+    /// so never with a snapshot from [`Sta::with_compiled`]).
     pub fn annotate(&self) -> Result<Annotation, StaError> {
-        let order = self.levelize()?;
+        let cn = self.snapshot()?;
         let flop_clock = self.flop_clock_map()?;
-        Ok(self.annotate_with(order, flop_clock))
+        Ok(self.annotate_with_compiled(&cn, flop_clock))
     }
 
-    /// Levelize the combinational graph — the corner-independent (and
-    /// fallible) half of [`Sta::annotate`], split out so a multi-corner
-    /// fan-out computes it once and shares it across corners.
-    pub(crate) fn levelize(&self) -> Result<Vec<InstanceId>, StaError> {
-        self.nl.combinational_topo_order().map_err(|e| match e {
-            NetlistError::CombinationalCycle { net } => StaError::CombinationalCycle(net),
-            other => StaError::CombinationalCycle(other.to_string()),
-        })
-    }
-
-    /// The annotation pass proper, against a precomputed levelization
-    /// and flop-clock map (both corner-independent). Infallible: every
-    /// error [`Sta::annotate`] can raise comes from deriving those two
-    /// inputs.
-    pub(crate) fn annotate_with(
-        &self,
-        order: Vec<InstanceId>,
-        flop_clock: HashMap<InstanceId, f64>,
-    ) -> Annotation {
-        let fanout = self.nl.fanout_counts();
-        let default_period = self
-            .constraints
-            .fastest_clock()
-            .map(|c| c.period_ns)
-            .unwrap_or(POS);
-
-        let n = self.nl.num_nets();
-        let mut at_max = vec![NEG; n];
-        let mut at_min = vec![POS; n];
-        let mut pred: Vec<Option<(InstanceId, NetId)>> = vec![None; n];
-        let mut start_label: Vec<Option<String>> = vec![None; n];
-
-        // Launch points.
-        let io_reference_ns = self.io_reference_ns();
-        let clock_ports = self.clock_port_nets();
-        for (_, port) in self.nl.input_ports() {
-            self.seed_net(
-                port.net,
-                &clock_ports,
-                io_reference_ns,
-                &mut at_max,
-                &mut at_min,
-                &mut pred,
-                &mut start_label,
-            );
-        }
-        for (id, _) in self.nl.flops() {
-            let q = self.nl.instance(id).output;
-            self.seed_net(
-                q,
-                &clock_ports,
-                io_reference_ns,
-                &mut at_max,
-                &mut at_min,
-                &mut pred,
-                &mut start_label,
-            );
-        }
-        for (_, m) in self.nl.macros() {
-            for &out in &m.outputs {
-                self.seed_net(
-                    out,
-                    &clock_ports,
-                    io_reference_ns,
-                    &mut at_max,
-                    &mut at_min,
-                    &mut pred,
-                    &mut start_label,
-                );
-            }
-        }
-
-        // Forward: propagate arrivals through combinational gates.
-        let mut evaluated = 0usize;
-        for &id in &order {
-            if self.eval_forward(id, &fanout, &mut at_max, &mut at_min, &mut pred) {
-                evaluated += 1;
-            }
-        }
-
-        // Backward: propagate setup required times against the same
-        // levelization. A gate's output is finalized before its input
-        // drivers are visited, so each net is evaluated exactly once.
-        let fanout_map = self.nl.fanout_map();
-        let endpoint_req = self.endpoint_required(&flop_clock, default_period);
-        let mut req_max = vec![POS; n];
-        let mut req_done = vec![false; n];
-        for &id in order.iter().rev() {
-            let out = self.nl.instance(id).output;
-            req_max[out.index()] =
-                self.eval_required(out, &fanout_map, &fanout, &endpoint_req, &req_max);
-            req_done[out.index()] = true;
-            evaluated += 1;
-        }
-        for i in 0..n {
-            if !req_done[i] {
-                let net = NetId(i as u32);
-                req_max[i] =
-                    self.eval_required(net, &fanout_map, &fanout, &endpoint_req, &req_max);
-                evaluated += 1;
-            }
-        }
-
-        Annotation {
-            at_max,
-            at_min,
-            req_max,
-            pred,
-            start_label,
-            order,
-            flop_clock,
-            default_period,
-            evaluated,
+    /// The snapshot to time: the caller's ([`Sta::with_compiled`]), or
+    /// a fresh compile of the netlist.
+    pub(crate) fn snapshot(&self) -> Result<Cow<'a, CompiledNetlist>, StaError> {
+        match self.compiled {
+            Some(cn) => Ok(Cow::Borrowed(cn)),
+            None => Ok(Cow::Owned(self.nl.compile()?)),
         }
     }
 
-    /// Compile the netlist into its SoA snapshot, mapping the only
-    /// failure ([`NetlistError::CombinationalCycle`]) onto the same
-    /// [`StaError`] that [`Sta::levelize`] raises — so callers can swap
-    /// one for the other without changing their error handling.
-    pub(crate) fn compile_netlist(&self) -> Result<CompiledNetlist, StaError> {
-        self.nl.compile().map_err(|e| match e {
-            NetlistError::CombinationalCycle { net } => StaError::CombinationalCycle(net),
-            other => StaError::CombinationalCycle(other.to_string()),
-        })
-    }
-
-    /// [`Sta::late_delay`] reading the compiled per-instance table
-    /// instead of the graph — same cell, same output net, bit-identical
-    /// arithmetic.
+    /// Stage delay of `id` driving its output net under the late
+    /// (setup-launch) derate: cell delay plus wire delay.
     fn late_delay_compiled(&self, cn: &CompiledNetlist, id: InstanceId, fanout_out: usize) -> f64 {
         self.tech.cell_delay_ns(cn.cell(id), fanout_out) * self.corner.late
             + self.wire_delay(cn.output(id), fanout_out) * self.corner.late
     }
 
-    /// [`Sta::early_delay`] against the compiled per-instance table.
+    /// Stage delay of `id` under the early (hold-launch) derate.
     fn early_delay_compiled(&self, cn: &CompiledNetlist, id: InstanceId, fanout_out: usize) -> f64 {
         self.tech.cell_delay_ns(cn.cell(id), fanout_out) * self.corner.early
             + self.wire_delay(cn.output(id), fanout_out) * self.corner.early
     }
 
-    /// [`Sta::eval_forward`] against the compiled core: the fanin fold
-    /// walks the CSR row (same pin order, so the strict-`>` first-wins
-    /// max tie-break is unchanged) and the fanout count comes from the
-    /// dense table instead of a precomputed vector.
+    /// Evaluate one combinational gate: recompute the max/min arrival
+    /// and critical predecessor of its output net from its inputs. The
+    /// fanin fold walks the CSR row in pin order, so the strict-`>`
+    /// first-wins max tie-break follows the pin order. Returns `false`
+    /// (no evaluation) for tie cells.
     pub(crate) fn eval_forward_compiled(
         &self,
         cn: &CompiledNetlist,
@@ -817,10 +652,13 @@ impl<'a> Sta<'a> {
         true
     }
 
-    /// [`Sta::eval_required`] against the compiled CSR fanout row. The
-    /// fold is a pure `min` over finite values, so the row's entry
-    /// order (which a [`CompiledNetlist::patch`] may permute relative
-    /// to a fresh compile) cannot change the result.
+    /// Recompute the setup required time of `net`: the minimum of its
+    /// direct endpoint constraint and, for each combinational reader on
+    /// its CSR fanout row, the reader's output required time minus the
+    /// reader's stage delay. The fold is a pure `min` over finite
+    /// values, so the row's entry order (which a
+    /// [`CompiledNetlist::patch`] may permute relative to a fresh
+    /// compile) cannot change the result.
     pub(crate) fn eval_required_compiled(
         &self,
         cn: &CompiledNetlist,
@@ -847,19 +685,20 @@ impl<'a> Sta<'a> {
         req
     }
 
-    /// [`Sta::annotate_with`] against a [`CompiledNetlist`]: identical
-    /// seeding (launch points still come from the graph — they are
-    /// endpoint iterations, not traversal), but the forward and
+    /// The annotation pass proper over `cn`, against a precomputed
+    /// flop-clock map (corner-independent, so a multi-corner fan-out
+    /// derives it once). Launch points are seeded from the graph (they
+    /// are endpoint iterations, not traversal); the forward and
     /// backward passes walk the snapshot's flat arrays in its `(level,
     /// id)` topological order.
     ///
-    /// Bit-identical to the graph pass even though the order differs
-    /// from [`Sta::levelize`]'s Kahn order: every net is written
-    /// exactly once, after all of its fanins (forward) or readers
-    /// (backward) are final, so any valid topological order produces
-    /// the same values; the per-gate folds themselves are
-    /// order-preserving (fanin pin order) or order-insensitive (`min`).
-    /// [`Annotation::order`] records the compiled order actually used.
+    /// Every net is written exactly once, after all of its fanins
+    /// (forward) or readers (backward) are final, so any valid
+    /// topological order produces the same values; the per-gate folds
+    /// themselves are order-preserving (fanin pin order) or
+    /// order-insensitive (`min`). That is why an annotation over a
+    /// journal-patched snapshot equals one over a fresh compile.
+    /// [`Annotation::order`] records the order used.
     pub(crate) fn annotate_with_compiled(
         &self,
         cn: &CompiledNetlist,
@@ -877,12 +716,18 @@ impl<'a> Sta<'a> {
         let mut pred: Vec<Option<(InstanceId, NetId)>> = vec![None; n];
         let mut start_label: Vec<Option<String>> = vec![None; n];
 
-        // Launch points (same loops as `annotate_with`).
+        // Launch points: input ports, flop outputs, macro outputs.
         let io_reference_ns = self.io_reference_ns();
         let clock_ports = self.clock_port_nets();
-        for (_, port) in self.nl.input_ports() {
+        let launch_nets = self
+            .nl
+            .input_ports()
+            .map(|(_, p)| p.net)
+            .chain(self.nl.flops().map(|(_, inst)| inst.output))
+            .chain(self.nl.macros().flat_map(|(_, m)| m.outputs.iter().copied()));
+        for net in launch_nets {
             self.seed_net(
-                port.net,
+                net,
                 &clock_ports,
                 io_reference_ns,
                 &mut at_max,
@@ -890,31 +735,6 @@ impl<'a> Sta<'a> {
                 &mut pred,
                 &mut start_label,
             );
-        }
-        for (id, _) in self.nl.flops() {
-            let q = self.nl.instance(id).output;
-            self.seed_net(
-                q,
-                &clock_ports,
-                io_reference_ns,
-                &mut at_max,
-                &mut at_min,
-                &mut pred,
-                &mut start_label,
-            );
-        }
-        for (_, m) in self.nl.macros() {
-            for &out in &m.outputs {
-                self.seed_net(
-                    out,
-                    &clock_ports,
-                    io_reference_ns,
-                    &mut at_max,
-                    &mut at_min,
-                    &mut pred,
-                    &mut start_label,
-                );
-            }
         }
 
         // Forward: propagate arrivals through combinational gates.
@@ -954,22 +774,6 @@ impl<'a> Sta<'a> {
             default_period,
             evaluated,
         }
-    }
-
-    /// Run the full analysis against a precompiled SoA snapshot of the
-    /// same netlist: [`Sta::analyze`] with the forward/backward passes
-    /// walking [`CompiledNetlist`] flat arrays instead of the graph.
-    /// The [`TimingReport`] is bit-identical to [`Sta::analyze`]'s.
-    ///
-    /// # Errors
-    ///
-    /// [`StaError::NoClock`] for sequential designs without clocks,
-    /// [`StaError::UnclockedFlop`] for unreachable clock pins. (A
-    /// combinational cycle is caught earlier, by compiling.)
-    pub fn analyze_compiled(&self, cn: &CompiledNetlist) -> Result<TimingReport, StaError> {
-        let flop_clock = self.flop_clock_map()?;
-        let ann = self.annotate_with_compiled(cn, flop_clock);
-        Ok(self.report_from(&ann))
     }
 
     /// Summarize an annotation into a [`TimingReport`]: walk every

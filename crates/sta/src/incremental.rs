@@ -16,15 +16,16 @@
 //! structures the evaluation consults must also be patched rather than
 //! rebuilt. The engine keeps three of them alive across updates:
 //!
-//! - **The compiled snapshot**: the [`CompiledNetlist`] the baseline
-//!   compiles. Each update replays the delta's connectivity journal into
-//!   it with [`CompiledNetlist::patch`], which repairs the CSR fanout
-//!   rows, fanout counts and logic levels in O(edits + cone). The cones
-//!   are walked over its rows, ordered by its `(level, id)` key and
-//!   evaluated by the compiled per-gate kernels
-//!   [`multi_corner`](crate::multi_corner) runs. When a level changed,
-//!   the patch re-sorts the snapshot's order, an uncounted O(instances)
-//!   step.
+//! - **The compiled snapshot**: the engine's own copy of the
+//!   [`CompiledNetlist`] the baseline timed (a clone of the snapshot
+//!   lent through [`Sta::with_compiled`](crate::Sta::with_compiled), or
+//!   the one the baseline compiled). Each update replays the delta's
+//!   connectivity journal into it with [`CompiledNetlist::patch`],
+//!   which repairs the CSR fanout rows, fanout counts and logic levels
+//!   in O(edits + cone). The cones are walked over its rows, ordered by
+//!   its `(level, id)` key and evaluated by the per-gate kernels every
+//!   analysis runs. When a level changed, the patch re-sorts the
+//!   snapshot's order, an uncounted O(instances) step.
 //! - **Endpoint requirements**: the static macro/port part never moves
 //!   under ECO edits; per-net flop constraints are recomputed only for
 //!   nets whose flop readers or capture periods actually changed.
@@ -184,6 +185,8 @@ impl<'a> Sta<'a> {
     /// incremental updates. Consumes the analyzer (the engine carries
     /// owned copies of its configuration so it outlives the netlist
     /// borrow); returns the engine together with the baseline report.
+    /// A snapshot lent with [`Sta::with_compiled`] is cloned for the
+    /// engine to patch; without one, the netlist is compiled once.
     ///
     /// # Errors
     ///
@@ -225,9 +228,9 @@ impl<'a> Sta<'a> {
         Ok((inc, report))
     }
 
-    /// Compile the netlist and annotate it over the snapshot.
+    /// Take an owned snapshot (see [`Sta::snapshot`]) and annotate it.
     fn annotate_snapshot(&self) -> Result<(CompiledNetlist, Annotation), StaError> {
-        let cn = self.compile_netlist()?;
+        let cn = self.snapshot()?.into_owned();
         let flop_clock = self.flop_clock_map()?;
         let ann = self.annotate_with_compiled(&cn, flop_clock);
         Ok((cn, ann))
@@ -248,11 +251,17 @@ impl IncrementalSta {
     }
 
     /// The compiled snapshot of the netlist most recently timed (the
-    /// baseline, or the last [`IncrementalSta::update`]). Hand it to
-    /// [`multi_corner::signoff_on`](crate::multi_corner::signoff_on) to
-    /// sign off the same netlist without compiling it again.
+    /// baseline, or the last [`IncrementalSta::update`]). Lend it to
+    /// [`Sta::with_compiled`] to time the same netlist again without
+    /// compiling it.
     pub fn compiled(&self) -> &CompiledNetlist {
         &self.cn
+    }
+
+    /// Consume the engine, keeping only its snapshot (see
+    /// [`IncrementalSta::compiled`]).
+    pub fn into_compiled(self) -> CompiledNetlist {
+        self.cn
     }
 
     /// Cost accounting for the most recent update (the baseline counts
@@ -324,6 +333,7 @@ impl IncrementalSta {
         let sta = Sta {
             nl,
             tech,
+            compiled: None,
             constraints: std::mem::take(&mut self.constraints),
             corner: self.corner,
             wire_delays_ns: self.wire_delays_ns.take(),

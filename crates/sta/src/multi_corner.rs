@@ -6,11 +6,11 @@
 //! independent by construction: a [`Corner`] only scales delays, so the
 //! compiled SoA snapshot of the netlist (which carries the levelized
 //! evaluation order) and the flop→clock resolution (the two fallible,
-//! corner-independent derivations) are computed **once** here and
+//! corner-independent derivations) are derived **once** here and
 //! shared, and each corner's annotate/report pass runs as one
-//! `camsoc-par` work item walking the snapshot's flat arrays. A caller
-//! that already holds a current snapshot passes it to [`signoff_on`]
-//! instead of compiling again.
+//! `camsoc-par` work item walking the snapshot's flat arrays. The
+//! snapshot is the one the base analyzer borrows
+//! ([`Sta::with_compiled`]), or a single compile when it holds none.
 //!
 //! Determinism: each per-corner pass is a pure function of the shared
 //! inputs and its own corner, and [`camsoc_par::map`] merges results in
@@ -40,7 +40,6 @@
 //! # }
 //! ```
 
-use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_par::Parallelism;
 
 use crate::analysis::{Sta, StaError, TimingReport};
@@ -50,8 +49,8 @@ use crate::derate::Corner;
 /// per-corner annotate/report passes over `par` worker threads.
 ///
 /// Reports come back in `corners` order, bit-identical for every thread
-/// count. The compiled netlist snapshot and flop-clock map are derived
-/// once and shared (read-only) by all corners.
+/// count. The snapshot (borrowed from `base`, or compiled once) and the
+/// flop-clock map are shared read-only by all corners.
 ///
 /// # Errors
 ///
@@ -63,20 +62,11 @@ pub fn analyze_corners(
     corners: &[Corner],
     par: Parallelism,
 ) -> Result<Vec<TimingReport>, StaError> {
-    analyze_on(base, &base.compile_netlist()?, corners, par)
-}
-
-/// [`analyze_corners`] over a snapshot of `base`'s netlist.
-fn analyze_on(
-    base: &Sta<'_>,
-    compiled: &CompiledNetlist,
-    corners: &[Corner],
-    par: Parallelism,
-) -> Result<Vec<TimingReport>, StaError> {
+    let compiled = base.snapshot()?;
     let flop_clock = base.flop_clock_map()?;
     Ok(camsoc_par::map(par, corners, |corner| {
         let sta = base.at_corner(*corner);
-        let ann = sta.annotate_with_compiled(compiled, flop_clock.clone());
+        let ann = sta.annotate_with_compiled(&compiled, flop_clock.clone());
         sta.report_from(&ann)
     }))
 }
@@ -104,7 +94,10 @@ impl CornerSignoff {
 }
 
 /// Run the two sign-off corners concurrently and fold them into a
-/// [`CornerSignoff`].
+/// [`CornerSignoff`]. Lend the analyzer a snapshot with
+/// [`Sta::with_compiled`] to sign off a netlist the caller has already
+/// compiled (or kept current through an ECO loop) without compiling it
+/// again.
 ///
 /// # Errors
 ///
@@ -115,35 +108,7 @@ pub fn signoff(
     fast: Corner,
     par: Parallelism,
 ) -> Result<CornerSignoff, StaError> {
-    signoff_on(base, &base.compile_netlist()?, slow, fast, par)
-}
-
-/// [`signoff`] over a snapshot the caller already holds, such as the
-/// one an [`IncrementalSta`](crate::IncrementalSta) kept current
-/// through an ECO loop, so the netlist is not compiled again.
-///
-/// # Errors
-///
-/// [`StaError::NoClock`] / [`StaError::UnclockedFlop`] from the shared
-/// flop-clock derivation.
-///
-/// # Panics
-///
-/// Panics if `compiled` does not have the netlist's instance and net
-/// counts.
-pub fn signoff_on(
-    base: &Sta<'_>,
-    compiled: &CompiledNetlist,
-    slow: Corner,
-    fast: Corner,
-    par: Parallelism,
-) -> Result<CornerSignoff, StaError> {
-    assert!(
-        compiled.num_instances() == base.nl.num_instances()
-            && compiled.num_nets() == base.nl.num_nets(),
-        "compiled snapshot does not match the netlist"
-    );
-    let mut reports = analyze_on(base, compiled, &[slow, fast], par)?;
+    let mut reports = analyze_corners(base, &[slow, fast], par)?;
     let fast_report = reports.pop().expect("two corners in, two reports out");
     let slow_report = reports.pop().expect("two corners in, two reports out");
     Ok(CornerSignoff {

@@ -2,14 +2,29 @@
 //! service flow, checked across crate boundaries.
 
 use camsoc::flow::build_dsc;
-use camsoc::flow::flow::{run_flow, FlowOptions};
+use camsoc::flow::flow::{run_flow, FlowCheckpoint, FlowOptions, FlowResult, FlowSupervisor};
+use camsoc::flow::StageId;
 use camsoc::flow::signoff::SignoffReport;
 use camsoc::dft::atpg::AtpgConfig;
 use camsoc::layout::place::{PlacementConfig, PlacementMode};
 use camsoc::layout::ImplementOptions;
+use camsoc::netlist::codec::{Codec, Encoder};
+use camsoc::netlist::generate::{ip_block, IpBlockParams};
 use camsoc::netlist::stats::NetlistStats;
 use camsoc::netlist::tech::Technology;
+use camsoc::par::Parallelism;
 use camsoc::sta::{multi_corner, Constraints, Corner, Sta};
+
+/// The compile audit: one compile in pre-layout STA, one in Scan, none
+/// in any other stage.
+fn assert_compiles_twice(r: &FlowResult) {
+    let stats = &r.compile_stats;
+    assert_eq!(stats.total(), 2, "per-stage compiles: {:?}", stats.per_stage);
+    for stage in StageId::ALL {
+        let expected = usize::from(matches!(stage, StageId::PreSta | StageId::Scan));
+        assert_eq!(stats.for_stage(stage), expected, "{stage}: {:?}", stats.per_stage);
+    }
+}
 
 fn quick_options() -> FlowOptions {
     FlowOptions {
@@ -28,6 +43,11 @@ fn quick_options() -> FlowOptions {
         },
         ..FlowOptions::default()
     }
+}
+
+/// A 2 ns clock (500 MHz in 0.25 µm: hopeless), so both fix loops run.
+fn stressed_options() -> FlowOptions {
+    FlowOptions { clock_period_ns: 2.0, ..quick_options() }
 }
 
 #[test]
@@ -51,20 +71,13 @@ fn dsc_controller_reaches_signoff() {
         result.lvs.clean(),
         result.equivalence.verdict);
 
-    // compile audit: the flow derives a CompiledNetlist exactly four
-    // times — ATPG's fault universe, the sign-off STA baseline, and
-    // the two equivalence models. Any growth here means a kernel
-    // started silently re-deriving the compiled view per call.
-    use camsoc::flow::StageId;
-    assert_eq!(
-        result.compile_stats.total(),
-        4,
-        "per-stage compiles: {:?}",
-        result.compile_stats.per_stage
-    );
-    assert_eq!(result.compile_stats.for_stage(StageId::Atpg), 1);
-    assert_eq!(result.compile_stats.for_stage(StageId::TimingFix), 1);
-    assert_eq!(result.compile_stats.for_stage(StageId::Equiv), 2);
+    // compile audit: the flow derives a CompiledNetlist exactly twice —
+    // pre-layout STA's snapshot of the input, and the Scan stage's
+    // snapshot of the scanned netlist, which ATPG, layout, the
+    // timing-fix engine and both equivalence models read. Any growth
+    // here means a kernel started silently re-deriving the compiled
+    // view per call.
+    assert_compiles_twice(&result);
 
     // the GDSII stream parses and contains all cells
     let records = camsoc::layout::gdsii::verify(&result.gds).expect("gds well-formed");
@@ -116,19 +129,18 @@ fn flow_is_deterministic() {
 fn faster_clock_is_harder_to_close() {
     let design = build_dsc(0.015).expect("dsc");
     let relaxed = run_flow(design.netlist.clone(), &quick_options()).expect("flow");
-    let mut options = quick_options();
-    options.clock_period_ns = 2.0; // 500 MHz in 0.25 µm: hopeless
+    let options = stressed_options();
     let stressed = run_flow(design.netlist, &options).expect("flow");
     assert!(stressed.signoff_timing.setup.wns_ns < relaxed.signoff_timing.setup.wns_ns);
 
     // Both fix loops run at 2 ns, yet the timing-fix stage compiles
-    // once: the incremental engine's journal-patched snapshot is handed
-    // to the two-corner sign-off. A stale snapshot would show up as a
-    // difference from a sign-off of the final netlist over a fresh
-    // compile (layout wires, 0.01 ns for ECO nets, CTS latencies).
-    use camsoc::flow::StageId;
+    // nothing: the incremental engine patches a copy of the scanned
+    // snapshot and hands it to the two-corner sign-off. A stale
+    // snapshot would show up as a difference from a sign-off of the
+    // final netlist over a fresh compile (layout wires, 0.01 ns for ECO
+    // nets, CTS latencies).
     assert!(stressed.timing_ecos > 0, "the fix loops must engage");
-    assert_eq!(stressed.compile_stats.for_stage(StageId::TimingFix), 1);
+    assert_compiles_twice(&stressed);
     let mut wires = stressed.layout.wire_delays_ns.clone();
     wires.resize(stressed.netlist.num_nets(), 0.01);
     let constraints = Constraints::single_clock(&options.clock_port, options.clock_period_ns);
@@ -138,4 +150,79 @@ fn faster_clock_is_harder_to_close() {
     let fresh = multi_corner::signoff(&base, Corner::worst(), Corner::best(), options.parallelism)
         .expect("fresh sign-off");
     assert_eq!(stressed.corner_signoff, fresh);
+    assert_eq!(flow_digest(&stressed), PINNED_FIX_LOOP);
+}
+
+/// FNV-1a over a flow's sign-off products: the encoded pre-layout
+/// timing, sign-off timing, two-corner sign-off, equivalence report and
+/// ATPG result, then the timing-ECO count, both STA evaluation counters
+/// and the GDSII bytes.
+fn flow_digest(r: &FlowResult) -> u64 {
+    let mut e = Encoder::new();
+    r.pre_layout_timing.encode(&mut e);
+    r.signoff_timing.encode(&mut e);
+    r.corner_signoff.encode(&mut e);
+    r.equivalence.encode(&mut e);
+    r.atpg.encode(&mut e);
+    e.put_usize(r.timing_ecos);
+    e.put_usize(r.sta_incremental_evals);
+    e.put_usize(r.sta_full_evals);
+    e.put_bytes(&r.gds);
+    e.into_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+// [`flow_digest`]s recorded with the graph-walking STA pass (before
+// every stage shared one compiled snapshot of the scanned netlist).
+
+/// 300-gate `ip_block`, seed 5, default options (timing-driven
+/// placement), serial: 34 timing ECOs, 149 of 663 STA evaluations.
+const PINNED_IP_BLOCK_SERIAL: u64 = 0xcd93_9dbc_5a27_d8e5;
+/// The same flow at 2 threads (`threads_used` is encoded, so the
+/// digest differs from the serial one; nothing else does).
+const PINNED_IP_BLOCK_THREADS2: u64 = 0x5b55_070c_d944_f474;
+/// The DSC at 0.015 with a 2 ns clock, both fix loops running: 55
+/// timing ECOs, 459 of 29,908 STA evaluations.
+const PINNED_FIX_LOOP: u64 = 0xdde9_97b1_1239_2728;
+
+#[test]
+fn ip_block_flow_matches_pinned_digests() {
+    for (parallelism, pinned) in [
+        (Parallelism::Serial, PINNED_IP_BLOCK_SERIAL),
+        (Parallelism::Threads(2), PINNED_IP_BLOCK_THREADS2),
+    ] {
+        let nl = ip_block("blk", &IpBlockParams { target_gates: 300, seed: 5, ..Default::default() })
+            .expect("generate");
+        let options = FlowOptions { parallelism, ..FlowOptions::default() };
+        let r = run_flow(nl, &options).expect("flow");
+        assert_eq!(r.timing_ecos, 34, "{parallelism:?}");
+        assert_eq!(flow_digest(&r), pinned, "{parallelism:?}");
+    }
+}
+
+#[test]
+fn resume_after_timing_fix_matches_uninterrupted_run() {
+    // The 2 ns flow checkpointed once TimingFix is done: the decode
+    // re-derives the final netlist's snapshot by compiling it, so
+    // equivalence reads that fresh compile instead of the engine's
+    // journal-patched copy, and must not notice.
+    let design = build_dsc(0.015).expect("dsc");
+    let options = stressed_options();
+    let uninterrupted = run_flow(design.netlist.clone(), &options).expect("flow");
+    let supervisor = FlowSupervisor::new(options);
+    let mut ckpt = FlowCheckpoint::new(design.netlist);
+    while !ckpt.is_complete(StageId::TimingFix) {
+        supervisor.advance(&mut ckpt).expect("advance");
+    }
+    let mut decoded = FlowCheckpoint::from_bytes(&ckpt.to_bytes()).expect("decode");
+    assert_eq!(decoded, ckpt, "a re-derived snapshot must equal the patched one");
+    let resumed = supervisor.resume(&mut decoded).expect("resume");
+    assert!(resumed.timing_ecos > 0, "the fix loops must engage");
+    assert_eq!(resumed.equivalence, uninterrupted.equivalence);
+    assert_eq!(resumed.corner_signoff, uninterrupted.corner_signoff);
+    assert_eq!(resumed.gds, uninterrupted.gds);
+    assert_eq!(flow_digest(&resumed), PINNED_FIX_LOOP);
+    // the stages after the decode compiled nothing themselves
+    assert_eq!(resumed.compile_stats.total(), 0, "{:?}", resumed.compile_stats.per_stage);
 }

@@ -11,6 +11,7 @@ use camsoc::flow::flow::{FlowOptions, FlowResult, FlowSupervisor};
 use camsoc::flow::StageId;
 use camsoc::layout::place::{PlacementConfig, PlacementMode};
 use camsoc::layout::ImplementOptions;
+use camsoc::netlist::codec::{Codec, Encoder};
 use camsoc::serve::{
     DesignSpec, Farm, JobOutcome, JobRequest, JobState, Priority, RetentionPolicy,
 };
@@ -38,8 +39,20 @@ fn request(seed: u64) -> JobRequest {
     JobRequest::new(spec(seed), quick_options())
 }
 
-/// Every externally observable figure of a flow run, timing bit-exact.
-fn fingerprint(r: &FlowResult) -> (usize, usize, u64, u64, u64, usize, Vec<u8>) {
+/// A report's encoded bytes, so its floats compare bit for bit.
+fn encoded<T: Codec>(v: &T) -> Vec<u8> {
+    let mut e = Encoder::new();
+    v.encode(&mut e);
+    e.into_bytes()
+}
+
+/// Every externally observable figure of a flow run, timing bit-exact:
+/// the whole equivalence report, two-corner sign-off and pre-layout
+/// timing are compared as encoded bytes.
+#[allow(clippy::type_complexity)]
+fn fingerprint(
+    r: &FlowResult,
+) -> (usize, usize, u64, u64, u64, usize, Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
     (
         r.scan.scan_flops,
         r.atpg.detected,
@@ -48,6 +61,9 @@ fn fingerprint(r: &FlowResult) -> (usize, usize, u64, u64, u64, usize, Vec<u8>) 
         r.signoff_timing.hold.wns_ns.to_bits(),
         r.timing_ecos,
         r.gds.clone(),
+        encoded(&r.equivalence),
+        encoded(&r.corner_signoff),
+        encoded(&r.pre_layout_timing),
     )
 }
 
