@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: tier-1 (release build + full test suite) plus a
 # zero-warning clippy sweep over every target. No network access is
-# required — the workspace has no external dependencies (see the note
-# in Cargo.toml about proptest/criterion).
+# required — the workspace has no external dependencies.
 #
 # The tier-1 stages are wall-clocked so fault-simulation / test-suite
 # perf regressions show up in the CI log itself.
@@ -99,8 +98,10 @@ t5=$(date +%s)
 echo "par smoke wall clock: $((t5 - t4)) s"
 
 # Compiled-netlist smoke: the SoA/CSR snapshot must mirror the graph
-# adjacency exactly, every ported traversal kernel (fsim / equiv) must
-# stay bit-identical to its graph-walking reference engine, and a
+# adjacency exactly, whole equivalence reports must match values pinned
+# while a graph-walking engine still ran beside the compiled one (the
+# fault simulator and the support walks are checked against the naive
+# oracles of `camsoc_bench::oracle` in the suite above), and a
 # journal-patched snapshot must equal a fresh compile across the full
 # paper ECO history and after a six-op journal with one of every
 # journaled edit. STA has one engine, the compiled pass; its test-only
@@ -117,7 +118,7 @@ echo "par smoke wall clock: $((t5 - t4)) s"
 echo "== compiled: SoA/CSR bit-identity smoke =="
 cargo test -q --release --test compiled_netlist -- \
     csr_adjacency_matches_graph_adjacency \
-    equiv_engines_agree_across_threads \
+    equiv_reports_are_pinned_across_threads \
     journal_patched_snapshot_matches_fresh_compile_across_eco_history
 cargo test -q --release -p camsoc-sta --lib \
     oracle::tests::sta_reports_on_compiled_core_match_graph_engine
@@ -222,6 +223,16 @@ else
 fi
 [ "$docs_fail" -eq 0 ]
 echo "docs smoke OK"
+
+# End-to-end benchmark build: `e2ebench/` is its own cargo workspace
+# with path dependencies on the crates, so nothing above compiles it.
+# Building and testing it here catches an API change that would break
+# the benchmark before the benchmark runs.
+echo "== e2ebench: build + tests against the repository =="
+t7d=$(date +%s)
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+t8=$(date +%s)
+echo "e2ebench wall clock: $((t8 - t7d)) s"
 
 echo "== clippy (all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

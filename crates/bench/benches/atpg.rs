@@ -4,7 +4,7 @@
 use camsoc_bench::timer;
 use camsoc_dft::atpg::{Atpg, AtpgConfig};
 use camsoc_dft::faults::FaultList;
-use camsoc_dft::fsim::CombCircuit;
+use camsoc_dft::fsim::{CombCircuit, FsimScratch};
 use camsoc_dft::scan::{insert_scan, ScanConfig};
 use camsoc_netlist::generate::{ip_block, IpBlockParams, SplitMix64};
 
@@ -26,11 +26,12 @@ fn main() {
         let mut rng = SplitMix64::new(1);
         let assign: Vec<u64> = (0..cc.sources.len()).map(|_| rng.next_u64()).collect();
         let good = cc.good_sim(&assign);
+        let mut scratch = FsimScratch::for_circuit(&cc);
         timer::run(&format!("fault_sim_block/{gates}"), 1, 5, || {
             faults
                 .faults
                 .iter()
-                .filter(|&&f| cc.detect_lanes(f, &good) != 0)
+                .filter(|&&f| cc.detect_lanes(f, &good, &mut scratch) != 0)
                 .count()
         });
     }

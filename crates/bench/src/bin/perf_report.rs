@@ -2,8 +2,9 @@
 //! kernels: fault simulation (dft), multi-start placement (layout),
 //! wafer-lot yield ramp (fab), equivalence checking (netlist),
 //! negotiated routing (layout) and multi-corner STA (sta), plus a
-//! full-vs-incremental comparison for the ECO-loop STA engine, a
-//! compiled-netlist (SoA/CSR) vs graph-walking traversal comparison,
+//! full-vs-incremental comparison for the ECO-loop STA engine, the
+//! fault-simulation and compiled-netlist (SoA/CSR) cone-walk engines
+//! timed against the naive graph-walking oracles of `camsoc_bench::oracle`,
 //! and a throughput row for the durable design-service job farm
 //! (`camsoc-serve`): ~100 queued small tapeout jobs drained by 1 vs 4
 //! workers, reported in jobs/hour.
@@ -17,11 +18,11 @@
 //!
 //! Run with `cargo run --release -p camsoc-bench --bin perf_report`.
 
-use camsoc_bench::timer;
+use camsoc_bench::{oracle, timer};
 use camsoc_core::build_dsc;
 use camsoc_core::eco::{apply_change, paper_change_history, ReplayContext};
 use camsoc_dft::faults::FaultList;
-use camsoc_dft::fsim::{CombCircuit, FsimCounters, FsimMode};
+use camsoc_dft::fsim::{CombCircuit, FsimCounters};
 use camsoc_dft::scan::{insert_scan, ScanConfig};
 use camsoc_fab::ramp::{RampConfig, RampSimulator};
 use camsoc_layout::floorplan::Floorplan;
@@ -98,7 +99,7 @@ fn fsim_row() -> KernelRow {
         "2000-gate scanned block, 800 faults x 64 patterns".into(),
         1,
         5,
-        move |par| cc.detect_all(&faults.faults, &good, par),
+        move |par| cc.detect_all(&faults.faults, &good, par, &FsimCounters::default()),
         |a, b| a == b,
     )
 }
@@ -254,19 +255,20 @@ fn multi_corner_sta_row() -> KernelRow {
 
 struct FsimCacheRow {
     workload: String,
-    uncached_ms: f64,
+    oracle_ms: f64,
     cached_ms: f64,
     speedup: f64,
-    uncached_evals: usize,
+    oracle_evals: usize,
     cached_evals: usize,
     early_exits: usize,
     bit_identical: bool,
 }
 
-/// Cached (cone-index + epoch scratch) vs uncached (per-fault
-/// worklist) fault-simulation engines on the same workload as the
-/// `fsim` thread row. Both run serially so the comparison isolates the
-/// propagation engine, not the thread pool.
+/// The production fault simulator (cone index + epoch scratch) against
+/// the naive oracle, which re-simulates the whole combinational core per
+/// fault, on the same workload as the `fsim` thread row. Both run
+/// serially so the comparison isolates the propagation engine, not the
+/// thread pool.
 fn fsim_cache_row() -> FsimCacheRow {
     let nl = ip_block(
         "blk",
@@ -279,32 +281,31 @@ fn fsim_cache_row() -> FsimCacheRow {
     let mut rng = SplitMix64::new(1);
     let assign: Vec<u64> = (0..cc.sources.len()).map(|_| rng.next_u64()).collect();
     let good = cc.good_sim(&assign);
+    let sources: Vec<(NetId, u64)> = cc.sources.iter().copied().zip(assign).collect();
+    let oracle_good = oracle::comb_values(&nl, &sources, None);
 
-    let run = |mode: FsimMode, counters: &FsimCounters| {
-        cc.detect_all_mode(&faults.faults, &good, Parallelism::Serial, mode, counters)
+    let run = |counters: &FsimCounters| {
+        cc.detect_all(&faults.faults, &good, Parallelism::Serial, counters)
     };
-    let uncached_counters = FsimCounters::default();
-    let reference = run(FsimMode::Uncached, &uncached_counters);
-    let before = uncached_counters.snapshot();
-    let cached_counters = FsimCounters::default();
-    let lanes = run(FsimMode::Cached, &cached_counters);
-    let cached_before = cached_counters.snapshot();
-    let bit_identical = lanes == reference;
+    let run_oracle = || -> Vec<u64> {
+        faults.faults.iter().map(|&f| oracle::fault_lanes(&nl, &sources, &oracle_good, f)).collect()
+    };
+    let counters = FsimCounters::default();
+    let lanes = run(&counters);
+    let stats = counters.snapshot();
+    let bit_identical = good == oracle_good && lanes == run_oracle();
 
-    let uncached = timer::bench("fsim_cache/uncached", 1, 5, || {
-        run(FsimMode::Uncached, &uncached_counters)
-    });
-    let cached = timer::bench("fsim_cache/cached", 1, 5, || {
-        run(FsimMode::Cached, &cached_counters)
-    });
+    let naive = timer::bench("fsim_cache/oracle", 1, 5, run_oracle);
+    let cached = timer::bench("fsim_cache/cached", 1, 5, || run(&counters));
     FsimCacheRow {
         workload: "2000-gate scanned block, 800 faults x 64 patterns, serial".into(),
-        uncached_ms: uncached.median_ms(),
+        oracle_ms: naive.median_ms(),
         cached_ms: cached.median_ms(),
-        speedup: uncached.median_ms() / cached.median_ms(),
-        uncached_evals: before.gate_evals,
-        cached_evals: cached_before.gate_evals,
-        early_exits: cached_before.early_exits,
+        speedup: naive.median_ms() / cached.median_ms(),
+        // the oracle evaluates every combinational gate once per fault
+        oracle_evals: faults.len() * cc.order.len(),
+        cached_evals: stats.gate_evals,
+        early_exits: stats.early_exits,
         bit_identical,
     }
 }
@@ -421,20 +422,21 @@ fn eco_sta_row() -> EcoStaRow {
 struct CompiledRow {
     workload: String,
     compile_ms: f64,
-    graph_ms: f64,
+    oracle_ms: f64,
     compiled_ms: f64,
     speedup: f64,
     cones_walked: usize,
     bit_identical: bool,
 }
 
-/// Compiled-netlist (SoA/CSR arrays) vs graph-walking traversal on the
-/// cone-extraction microbenchmark: the transitive-fanin support of
-/// every sink of a combinational model, the inner loop of the exact
-/// equivalence phase. Both engines run serially in one thread, so the
-/// comparison isolates the data layout and is meaningful on any host
-/// (including the 1-thread box the other rows warn about). The one-off
-/// `Netlist::compile` cost is timed separately for context.
+/// Compiled-netlist (SoA/CSR arrays) cone walk against the naive
+/// graph-walking oracle on the cone-extraction microbenchmark: the
+/// transitive-fanin support of every sink of a combinational model, the
+/// inner loop of the exact equivalence phase. Both run serially in one
+/// thread, so the comparison isolates the data layout and is meaningful
+/// on any host (including the 1-thread box the other rows warn about).
+/// The values of one random block are checked against the oracle too.
+/// The one-off `Netlist::compile` cost is timed separately for context.
 fn compiled_row() -> CompiledRow {
     let nl = ip_block(
         "blk",
@@ -442,18 +444,20 @@ fn compiled_row() -> CompiledRow {
     )
     .expect("generate");
     let model = CombModel::new(&nl).expect("comb model");
+    let sources: Vec<NetId> = model.sources.values().copied().collect();
     let sinks: Vec<NetId> = model.sinks.values().copied().collect();
 
     let mut rng = SplitMix64::new(1);
-    let assign: Vec<u64> = (0..model.sources.len()).map(|_| rng.next_u64()).collect();
+    let assign: Vec<u64> = (0..sources.len()).map(|_| rng.next_u64()).collect();
+    let assigned: Vec<(NetId, u64)> = sources.iter().copied().zip(assign.iter().copied()).collect();
     let bit_identical = sinks
         .iter()
-        .all(|&s| model.cone_support(s) == model.cone_support_graph(s))
-        && model.eval(&assign) == model.eval_graph(&assign);
+        .all(|&s| model.cone_support(s) == oracle::cone_support(&nl, &sources, s))
+        && model.eval(&assign) == oracle::comb_values(&nl, &assigned, None);
 
     let compile = timer::bench("compiled/compile", 1, 5, || nl.compile().expect("compile"));
-    let graph = timer::bench("compiled/graph_walk", 1, 5, || {
-        sinks.iter().map(|&s| model.cone_support_graph(s).len()).sum::<usize>()
+    let naive = timer::bench("compiled/oracle_walk", 1, 5, || {
+        sinks.iter().map(|&s| oracle::cone_support(&nl, &sources, s).len()).sum::<usize>()
     });
     let compiled = timer::bench("compiled/soa_walk", 1, 5, || {
         sinks.iter().map(|&s| model.cone_support(s).len()).sum::<usize>()
@@ -461,9 +465,9 @@ fn compiled_row() -> CompiledRow {
     CompiledRow {
         workload: "2000-gate block, transitive-fanin cone of every sink, serial".into(),
         compile_ms: compile.median_ms(),
-        graph_ms: graph.median_ms(),
+        oracle_ms: naive.median_ms(),
         compiled_ms: compiled.median_ms(),
-        speedup: graph.median_ms() / compiled.median_ms(),
+        speedup: naive.median_ms() / compiled.median_ms(),
         cones_walked: sinks.len(),
         bit_identical,
     }
@@ -757,11 +761,11 @@ fn main() {
     }
     println!();
     println!(
-        "fsim     uncached {:.2} ms vs cached {:.2} ms ({:.2}x, {} -> {} evals, {} early exits)  identical: {}",
-        fsim_cache.uncached_ms,
+        "fsim     oracle {:.2} ms vs cached {:.2} ms ({:.2}x, {} -> {} evals, {} early exits)  identical: {}",
+        fsim_cache.oracle_ms,
         fsim_cache.cached_ms,
         fsim_cache.speedup,
-        fsim_cache.uncached_evals,
+        fsim_cache.oracle_evals,
         fsim_cache.cached_evals,
         fsim_cache.early_exits,
         fsim_cache.bit_identical
@@ -784,8 +788,8 @@ fn main() {
         eco_sta.structures_rebuilt
     );
     println!(
-        "compiled graph {:.2} ms vs SoA {:.2} ms ({:.2}x over {} cones; compile {:.2} ms)  identical: {}",
-        compiled.graph_ms,
+        "compiled oracle {:.2} ms vs SoA {:.2} ms ({:.2}x over {} cones; compile {:.2} ms)  identical: {}",
+        compiled.oracle_ms,
         compiled.compiled_ms,
         compiled.speedup,
         compiled.cones_walked,
@@ -857,13 +861,10 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"fsim\": {\n");
     json.push_str(&format!("    \"workload\": \"{}\",\n", fsim_cache.workload));
-    json.push_str(&format!("    \"uncached_ms\": {:.3},\n", fsim_cache.uncached_ms));
+    json.push_str(&format!("    \"oracle_ms\": {:.3},\n", fsim_cache.oracle_ms));
     json.push_str(&format!("    \"cached_ms\": {:.3},\n", fsim_cache.cached_ms));
     json.push_str(&format!("    \"speedup\": {:.3},\n", fsim_cache.speedup));
-    json.push_str(&format!(
-        "    \"uncached_evals\": {},\n",
-        fsim_cache.uncached_evals
-    ));
+    json.push_str(&format!("    \"oracle_evals\": {},\n", fsim_cache.oracle_evals));
     json.push_str(&format!("    \"cached_evals\": {},\n", fsim_cache.cached_evals));
     json.push_str(&format!("    \"early_exits\": {},\n", fsim_cache.early_exits));
     json.push_str(&format!(
@@ -910,7 +911,7 @@ fn main() {
     json.push_str("  \"compiled\": {\n");
     json.push_str(&format!("    \"workload\": \"{}\",\n", compiled.workload));
     json.push_str(&format!("    \"compile_ms\": {:.3},\n", compiled.compile_ms));
-    json.push_str(&format!("    \"graph_ms\": {:.3},\n", compiled.graph_ms));
+    json.push_str(&format!("    \"oracle_ms\": {:.3},\n", compiled.oracle_ms));
     json.push_str(&format!("    \"compiled_ms\": {:.3},\n", compiled.compiled_ms));
     json.push_str(&format!("    \"speedup\": {:.3},\n", compiled.speedup));
     json.push_str(&format!("    \"cones_walked\": {},\n", compiled.cones_walked));
@@ -987,7 +988,7 @@ fn main() {
         std::process::exit(1);
     }
     if !fsim_cache.bit_identical {
-        eprintln!("ERROR: cached fault simulation diverged from the uncached engine");
+        eprintln!("ERROR: fault simulation diverged from the naive oracle");
         std::process::exit(1);
     }
     if !eco_sta.bit_identical {
@@ -995,7 +996,7 @@ fn main() {
         std::process::exit(1);
     }
     if !compiled.bit_identical {
-        eprintln!("ERROR: compiled-netlist traversal diverged from the graph engine");
+        eprintln!("ERROR: compiled-netlist traversal diverged from the naive oracle");
         std::process::exit(1);
     }
     if !serve.all_signed_off {
@@ -1010,7 +1011,7 @@ fn main() {
         eprintln!("ERROR: the healthy serve workload retried or quarantined a job");
         std::process::exit(1);
     }
-    // serial engine-vs-engine: a pure data-layout comparison, so the
+    // serial engine-vs-oracle: a pure data-layout comparison, so the
     // floor holds regardless of how many hardware threads the host has
     if compiled.speedup < 1.5 {
         eprintln!(

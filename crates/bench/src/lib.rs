@@ -9,7 +9,13 @@
 //! The DSC design scale used by the heavier harnesses can be overridden
 //! with the `CAMSOC_SCALE` environment variable (1.0 = the full
 //! 240 K-gate chip; the default keeps harness runtimes in seconds).
+//!
+//! [`oracle`] holds naive reference versions of the fault-simulation and
+//! equivalence traversals. The workspace's integration tests and
+//! `perf_report` check the production engines against them; no
+//! production crate depends on this one.
 
+pub mod oracle;
 pub mod timer;
 
 /// Read the experiment design scale from `CAMSOC_SCALE` (default

@@ -96,10 +96,8 @@ pub struct FlowOptions {
     /// checking), overriding their per-stage settings. Results are
     /// bit-identical for every value — only wall-clock time changes.
     pub parallelism: Parallelism,
-    /// Fault-simulation engine for the ATPG stage, overriding the
-    /// per-stage setting: cone-cached (default) or the uncached
-    /// reference. Like `parallelism`, results are bit-identical for
-    /// either value — only wall-clock time changes.
+    /// Unread and not encoded: fault simulation has one engine. Kept
+    /// only because the end-to-end benchmark's sources name this field.
     pub fsim_mode: FsimMode,
 }
 
@@ -984,12 +982,7 @@ fn degrade_output(stage: StageId, output: &mut StageOutput) {
 }
 
 fn atpg_config(options: &FlowOptions, effort: u32) -> AtpgConfig {
-    AtpgConfig {
-        parallelism: options.parallelism,
-        fsim_mode: options.fsim_mode,
-        ..options.atpg.clone()
-    }
-    .escalated(effort)
+    AtpgConfig { parallelism: options.parallelism, ..options.atpg.clone() }.escalated(effort)
 }
 
 fn layout_config(options: &FlowOptions, effort: u32) -> ImplementOptions {
@@ -1271,29 +1264,6 @@ fn stream_out(final_netlist: &Netlist, layout: &LayoutResult) -> Vec<u8> {
 /// [`FlowError`] from any stage.
 pub fn run_flow(netlist: Netlist, options: &FlowOptions) -> Result<FlowResult, FlowError> {
     FlowSupervisor::new(options.clone()).run(netlist)
-}
-
-/// The straight-line reference path: every stage once, in order, at
-/// base effort — no panic containment, no gates, no retries. This is
-/// the flow's pre-supervisor semantics, kept as the bit-identity
-/// reference for supervised runs (`tests/resilience.rs` asserts
-/// [`run_flow`] matches it exactly when nothing fails).
-///
-/// # Errors
-///
-/// [`FlowError`] from any stage.
-pub fn run_flow_unsupervised(
-    netlist: Netlist,
-    options: &FlowOptions,
-) -> Result<FlowResult, FlowError> {
-    let mut checkpoint = FlowCheckpoint::new(netlist);
-    for stage in StageId::ALL {
-        let before = compiles_on_this_thread();
-        let output = execute_stage(stage, &checkpoint.state, options, 0, None)?;
-        checkpoint.commit(stage, output);
-        checkpoint.compile_stats.record(stage, compiles_on_this_thread() - before);
-    }
-    checkpoint.take_result()
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use camsoc_par::Parallelism;
 use camsoc_sta::{Constraints, MacroTiming, Sta};
 
 use crate::flow::{FlowError, FlowOptions, FlowSupervisor};
-use crate::persist::sibling_tmp;
+use crate::persist::write_atomic;
 
 /// First four bytes of every abstract file: `"MABS"` little-endian.
 pub const ABSTRACT_MAGIC: u32 = u32::from_le_bytes(*b"MABS");
@@ -293,10 +293,7 @@ impl AbstractCache {
     ///
     /// Any filesystem error from the write or the rename.
     pub fn store(&self, abs: &MacroAbstract) -> io::Result<()> {
-        let path = self.path(abs.content_hash);
-        let tmp = sibling_tmp(&path);
-        fs::write(&tmp, abs.to_bytes())?;
-        fs::rename(&tmp, &path)
+        write_atomic(&self.path(abs.content_hash), &abs.to_bytes())
     }
 }
 

@@ -48,8 +48,7 @@ pub mod verify;
 
 pub use dsc::{build_dsc, DscDesign};
 pub use flow::{
-    run_flow, run_flow_unsupervised, CompileStats, FlowCheckpoint, FlowError, FlowOptions,
-    FlowResult, FlowSupervisor,
+    run_flow, CompileStats, FlowCheckpoint, FlowError, FlowOptions, FlowResult, FlowSupervisor,
 };
 pub use hier::{
     harden_macros, hard_macros, AbstractCache, HardenReport, MacroAbstract, TiledParams,

@@ -10,11 +10,12 @@
 //!   word and a format version. Wrong magic is [`CodecError::Corrupt`];
 //!   a version from a newer build is [`CodecError::Version`] — never a
 //!   silent misparse. Trailing bytes after the payload are rejected.
-//! * **Atomic replace.** [`FlowCheckpoint::save_atomic`] writes a
-//!   sibling temp file and `rename`s it over the target. A crash
-//!   mid-write leaves the previous good checkpoint untouched; readers
-//!   see either the old complete file or the new complete file, never
-//!   a torn one.
+//! * **Atomic replace.** [`write_atomic`] writes a sibling temp file
+//!   and `rename`s it over the target. A crash mid-write leaves the
+//!   previous good file untouched; readers see either the old complete
+//!   file or the new complete file, never a torn one. Checkpoints,
+//!   request files, exported GDSII, abstracts and the farm ledger are
+//!   all written through it.
 //!
 //! Bit-identity is the contract throughout: every `f64` is stored as
 //! its raw bit pattern, and decode rebuilds by-name indexes and
@@ -39,6 +40,7 @@ use std::io;
 use std::path::Path;
 use std::time::Duration;
 
+use camsoc_dft::fsim::FsimMode;
 use camsoc_netlist::codec::{Codec, CodecError, Decoder, Encoder};
 use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_netlist::graph::Netlist;
@@ -49,10 +51,11 @@ use crate::resilience::{AttemptOutcome, FlowTrace, StageAttempt, StageId};
 /// First four bytes of every checkpoint file: `"CKPT"` little-endian.
 pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"CKPT");
 
-/// Newest checkpoint format this build reads and writes. Version 2
+/// The only checkpoint format this build reads and writes. Version 2
 /// added [`RouteConfig::capacity_scale`](camsoc_layout::route::RouteConfig)
-/// to the embedded flow options.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// to the embedded flow options; version 3 dropped their fault-simulation
+/// and equivalence engine tags, since each kernel has one engine.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A checkpoint load failure: the file was unreadable or its bytes
 /// don't decode.
@@ -181,7 +184,6 @@ impl Codec for FlowOptions {
         e.put_f64(self.sta_cone_fraction);
         self.equiv.encode(e);
         self.parallelism.encode(e);
-        self.fsim_mode.encode(e);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(FlowOptions {
@@ -195,7 +197,7 @@ impl Codec for FlowOptions {
             sta_cone_fraction: d.get_f64()?,
             equiv: Codec::decode(d)?,
             parallelism: Codec::decode(d)?,
-            fsim_mode: Codec::decode(d)?,
+            fsim_mode: FsimMode::default(),
         })
     }
 }
@@ -324,21 +326,8 @@ impl FlowCheckpoint {
         Ok(ckpt)
     }
 
-    /// Write the checkpoint to `path` atomically: the bytes go to a
-    /// sibling `.tmp` file which is then renamed over the target, so a
-    /// crash mid-write can never leave a torn checkpoint behind.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem error from the write or the rename.
-    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        let tmp = sibling_tmp(path);
-        fs::write(&tmp, self.to_bytes())?;
-        fs::rename(&tmp, path)
-    }
-
-    /// Load a checkpoint previously written by
-    /// [`FlowCheckpoint::save_atomic`].
+    /// Load a checkpoint whose [`FlowCheckpoint::to_bytes`] were written
+    /// to `path`.
     ///
     /// # Errors
     ///
@@ -349,9 +338,21 @@ impl FlowCheckpoint {
     }
 }
 
-/// The temp-file path used for the atomic write: `<file>.tmp` next to
-/// the target (same filesystem, so the rename is atomic).
-pub(crate) fn sibling_tmp(path: &Path) -> std::path::PathBuf {
+/// Replace `path` with `bytes` atomically: write `<file>.tmp` next to
+/// the target (same filesystem, so the rename is atomic), then rename it
+/// over the target. A process killed at any instant leaves the old file
+/// or the new one, never a torn one.
+///
+/// # Errors
+///
+/// Any filesystem error from the write or the rename.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = sibling_tmp(path);
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
+}
+
+fn sibling_tmp(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
@@ -429,9 +430,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job.ckpt");
         let a = FlowCheckpoint::new(block(4));
-        a.save_atomic(&path).unwrap();
+        write_atomic(&path, &a.to_bytes()).unwrap();
         let b = FlowCheckpoint::new(block(5));
-        b.save_atomic(&path).unwrap();
+        write_atomic(&path, &b.to_bytes()).unwrap();
         assert_eq!(FlowCheckpoint::load(&path).unwrap(), b);
         assert!(!sibling_tmp(&path).exists(), "temp file must not survive");
         fs::remove_dir_all(&dir).unwrap();

@@ -124,8 +124,8 @@ pub struct AtpgConfig {
     /// partitioned across threads; results merge deterministically, so
     /// coverage and patterns are bit-identical to `Serial`).
     pub parallelism: Parallelism,
-    /// Fault-simulation engine: cone-cached (default) or the uncached
-    /// reference. Results are bit-identical; only speed differs.
+    /// Unread: fault simulation has one engine. Kept only because the
+    /// end-to-end benchmark's sources name this field.
     pub fsim_mode: FsimMode,
 }
 
@@ -287,13 +287,8 @@ impl<'a> Atpg<'a> {
             // lanes are independent, and the drop + first-lane merge
             // below walks them in fault order, so the surviving list and
             // kept patterns are identical for every thread count
-            let lanes_all = self.cc.detect_all_mode(
-                &undetected,
-                &good,
-                self.cfg.parallelism,
-                self.cfg.fsim_mode,
-                &counters,
-            );
+            let lanes_all =
+                self.cc.detect_all(&undetected, &good, self.cfg.parallelism, &counters);
             let mut survivors = Vec::with_capacity(undetected.len());
             for (&f, &lanes) in undetected.iter().zip(&lanes_all) {
                 if lanes != 0 {
@@ -351,11 +346,10 @@ impl<'a> Atpg<'a> {
                             .collect();
                         let good = self.cc.good_sim(&assign);
                         let before = remaining.len();
-                        let lanes_all = self.cc.detect_all_mode(
+                        let lanes_all = self.cc.detect_all(
                             &remaining,
                             &good,
                             self.cfg.parallelism,
-                            self.cfg.fsim_mode,
                             &counters,
                         );
                         let mut survivors = Vec::with_capacity(remaining.len());
@@ -910,28 +904,19 @@ mod tests {
 
     #[test]
     fn atpg_counts_fsim_work() {
+        // recorded before fault simulation lost its uncached engine,
+        // whose patterns and detections these matched
         let nl = generate::ripple_adder(8).unwrap();
-        let cached = Atpg::new(&nl, AtpgConfig::default()).unwrap().run();
-        let uncached = Atpg::new(
-            &nl,
-            AtpgConfig { fsim_mode: FsimMode::Uncached, ..AtpgConfig::default() },
-        )
-        .unwrap()
-        .run();
-        assert_eq!(cached.detected, uncached.detected);
-        assert_eq!(cached.patterns, uncached.patterns);
-        assert!(cached.fsim_stats.faults_simulated > 0);
+        let r = Atpg::new(&nl, AtpgConfig::default()).unwrap().run();
+        let digest = r.patterns.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+            let h = p.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+            (h ^ 0xff).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((r.detected, r.patterns.len(), digest), (178, 10, 0xfd16_fd4d_9ea5_4ae8));
         assert_eq!(
-            cached.fsim_stats.faults_simulated,
-            uncached.fsim_stats.faults_simulated
+            r.fsim_stats,
+            FsimStats { faults_simulated: 178, gate_evals: 272, early_exits: 138, allocations: 3 }
         );
-        assert!(
-            cached.fsim_stats.gate_evals < uncached.fsim_stats.gate_evals,
-            "cached {} evals vs uncached {}",
-            cached.fsim_stats.gate_evals,
-            uncached.fsim_stats.gate_evals
-        );
-        assert!(cached.fsim_stats.allocations < uncached.fsim_stats.allocations);
     }
 
     #[test]

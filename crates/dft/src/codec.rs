@@ -45,22 +45,6 @@ impl Codec for ScanReport {
     }
 }
 
-impl Codec for FsimMode {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u8(match self {
-            FsimMode::Cached => 0,
-            FsimMode::Uncached => 1,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match d.get_u8()? {
-            0 => Ok(FsimMode::Cached),
-            1 => Ok(FsimMode::Uncached),
-            t => Err(CodecError::Corrupt(format!("fsim mode tag {t:#04x}"))),
-        }
-    }
-}
-
 impl Codec for FsimStats {
     fn encode(&self, e: &mut Encoder) {
         e.put_usize(self.faults_simulated);
@@ -87,7 +71,6 @@ impl Codec for AtpgConfig {
         self.podem_fault_cap.encode(e);
         self.fault_sample.encode(e);
         self.parallelism.encode(e);
-        self.fsim_mode.encode(e);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(AtpgConfig {
@@ -98,7 +81,7 @@ impl Codec for AtpgConfig {
             podem_fault_cap: Option::<usize>::decode(d)?,
             fault_sample: Option::<usize>::decode(d)?,
             parallelism: Parallelism::decode(d)?,
-            fsim_mode: FsimMode::decode(d)?,
+            fsim_mode: FsimMode::default(),
         })
     }
 }
@@ -179,7 +162,6 @@ mod tests {
             podem_fault_cap: Some(12),
             fault_sample: Some(999),
             parallelism: Parallelism::Threads(4),
-            fsim_mode: FsimMode::Uncached,
             ..AtpgConfig::default()
         });
     }

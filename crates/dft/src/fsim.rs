@@ -8,30 +8,20 @@
 //! through its fanout cone, in level order, against the good-circuit
 //! values.
 //!
-//! Two propagation engines share the same event-driven semantics and
-//! produce bit-identical detection lanes:
-//!
-//! * [`FsimMode::Uncached`] — the historical reference: a fresh
-//!   `HashMap` overlay, `HashSet` queue-guard and `BinaryHeap` event
-//!   queue are allocated per fault, and gates are read through the
-//!   pointer-rich [`Netlist`] graph.
-//! * [`FsimMode::Cached`] — the production path: a [`ConeIndex`] built
-//!   once per circuit stores every net's fanout cone in level order
-//!   (faults sharing a stem share the cone), and a reusable
-//!   epoch-stamped [`FsimScratch`] replaces all per-fault containers, so
-//!   steady-state fault simulation performs **zero heap allocation**.
-//!   Walking the precomputed level-ordered cone and evaluating only
-//!   stamped (event-reached) gates visits exactly the gates the heap
-//!   would pop; two sound early exits (all excited lanes detected, no
-//!   pending events left) make the cached path evaluate *fewer* gates.
-//!   Gate reads go through the flat SoA/CSR arrays of a
-//!   [`CompiledNetlist`] (cell table, CSR fanin, output array) instead
-//!   of chasing `Instance` structs — cache lines carry only the fields
-//!   the inner loop touches.
+//! A [`ConeIndex`] built once per circuit stores every net's fanout
+//! cone in `(level, id)` order (faults sharing a stem share the cone),
+//! and a reusable epoch-stamped [`FsimScratch`] holds the faulty-value
+//! overlay, so steady-state fault simulation performs **zero heap
+//! allocation**. Walking the level-ordered cone and evaluating only
+//! stamped (event-reached) gates evaluates each reached gate once, after
+//! all its fanins; two sound early exits (all excited lanes detected, no
+//! pending events left) stop a fault's walk before the cone ends. Gate
+//! reads go through the flat SoA/CSR arrays of a [`CompiledNetlist`]
+//! (cell table, CSR fanin, output array) instead of chasing `Instance`
+//! structs — cache lines carry only the fields the inner loop touches.
 //!
 //! [`FsimCounters`] / [`FsimStats`] record gate evaluations, early exits
-//! and container allocations for both engines, mirroring the STA
-//! engine's `UpdateStats`.
+//! and scratch allocations, mirroring the STA engine's `UpdateStats`.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -46,18 +36,15 @@ use camsoc_par::Parallelism;
 
 use crate::faults::StuckAtFault;
 
-/// Which propagation engine [`CombCircuit::detect_all_mode`] uses.
-///
-/// Both engines return bit-identical detection lanes for every fault,
-/// pattern block and thread count; only wall-clock time and the
-/// [`FsimStats`] counters differ.
+/// The fault-simulation engine. One remains, so nothing reads this and
+/// no codec encodes it; it survives only as the type of
+/// `AtpgConfig::fsim_mode` and the flow's `FlowOptions::fsim_mode`,
+/// which the end-to-end benchmark still names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsimMode {
-    /// Shared cone index + reusable epoch-stamped scratch (the default).
+    /// Shared cone index + reusable epoch-stamped scratch.
     #[default]
     Cached,
-    /// Per-fault `HashMap`/`HashSet`/`BinaryHeap` reference engine.
-    Uncached,
 }
 
 /// Work counters for one or more fault-simulation calls.
@@ -67,13 +54,11 @@ pub struct FsimStats {
     pub faults_simulated: usize,
     /// Gate evaluations performed (including pin-fault seed evals).
     pub gate_evals: usize,
-    /// Faults whose cached propagation stopped early because every
-    /// excited lane was already detected (cached engine only).
+    /// Faults whose propagation stopped early because every excited
+    /// lane was already detected.
     pub early_exits: usize,
-    /// Heap containers allocated: three per fault for the uncached
-    /// engine (overlay map, queue guard, event heap), three per
-    /// [`FsimScratch`] for the cached engine — one scratch per worker,
-    /// so steady-state cached simulation allocates nothing.
+    /// Heap containers allocated: three per [`FsimScratch`], one scratch
+    /// per worker, so steady-state simulation allocates nothing.
     pub allocations: usize,
 }
 
@@ -93,7 +78,7 @@ impl FsimStats {
 ///
 /// Totals are sums of per-fault counts, so they are bit-identical for
 /// every thread count (addition commutes); only `allocations` depends on
-/// the worker count (one scratch per worker in cached mode).
+/// the worker count (one scratch per worker).
 #[derive(Debug, Default)]
 pub struct FsimCounters {
     faults_simulated: AtomicUsize,
@@ -125,9 +110,9 @@ impl FsimCounters {
 /// Per-net static fanout cones, CSR-packed in level order.
 ///
 /// `cone(net)` lists every combinational gate transitively reachable
-/// from `net`, sorted by `(logic level, instance id)` — the exact order
-/// the reference engine's event heap pops gates, so a linear walk that
-/// skips unstamped gates reproduces heap-driven propagation. One cone
+/// from `net`, sorted by `(logic level, instance id)` — a topological
+/// order, so a linear walk that skips unstamped gates evaluates every
+/// event-reached gate once, after all its fanins. One cone
 /// serves the net's SA0/SA1 stem faults *and* every branch (input-pin)
 /// fault on the net: a branch fault's propagation region is a subset of
 /// its stem's cone, and unstamped gates cost a scan step, not an eval.
@@ -177,7 +162,7 @@ impl ConeIndex {
     }
 }
 
-/// Reusable, allocation-free propagation scratch for the cached engine.
+/// Reusable, allocation-free propagation scratch.
 ///
 /// Holds a faulty-value overlay and epoch stamps for nets and gates; a
 /// per-fault epoch bump invalidates the previous fault's state in O(1),
@@ -198,8 +183,8 @@ pub struct FsimScratch {
 }
 
 impl FsimScratch {
-    /// Allocate a scratch sized for `cc` (the only allocations the
-    /// cached engine ever performs).
+    /// Allocate a scratch sized for `cc` (the only allocations fault
+    /// simulation ever performs).
     pub fn for_circuit(cc: &CombCircuit<'_>) -> FsimScratch {
         FsimScratch {
             value: vec![0; cc.nl.num_nets()],
@@ -382,125 +367,14 @@ impl<'a> CombCircuit<'a> {
     /// Fault-simulate one fault against a good-value vector; returns the
     /// lanes (bitmask) in which the fault is detected at any sink.
     ///
-    /// This is the uncached reference engine (fresh containers per
-    /// fault). [`CombCircuit::detect_lanes_cached`] is bit-identical.
-    pub fn detect_lanes(&self, fault: StuckAtFault, good: &[u64]) -> u64 {
-        self.detect_lanes_counted(fault, good).0
-    }
-
-    /// Reference engine with an eval count, for cached-vs-uncached
-    /// accounting. Returns `(detected lanes, gate evaluations)`.
-    fn detect_lanes_counted(&self, fault: StuckAtFault, good: &[u64]) -> (u64, usize) {
-        // Overlay of faulty values for nets that differ from good.
-        let mut overlay: HashMap<NetId, u64> = HashMap::new();
-        // Seed the frontier.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(usize, u32)>> =
-            std::collections::BinaryHeap::new();
-        let mut queued: std::collections::HashSet<InstanceId> =
-            std::collections::HashSet::new();
-        let mut detected = 0u64;
-        let mut evals = 0usize;
-
-        let seed_net = |net: NetId,
-                        value: u64,
-                        overlay: &mut HashMap<NetId, u64>,
-                        heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(usize, u32)>>,
-                        queued: &mut std::collections::HashSet<InstanceId>,
-                        detected: &mut u64| {
-            let diff = value ^ good[net.index()];
-            if diff == 0 {
-                return;
-            }
-            overlay.insert(net, value);
-            if self.is_sink[net.index()] {
-                *detected |= diff;
-            }
-            for &g in &self.comb_fanout[net.index()] {
-                if queued.insert(g) {
-                    heap.push(std::cmp::Reverse((self.level[g.index()], g.0)));
-                }
-            }
-        };
-
-        match fault {
-            StuckAtFault::Net { net, stuck_one } => {
-                let forced = if stuck_one { !0u64 } else { 0u64 };
-                seed_net(net, forced, &mut overlay, &mut heap, &mut queued, &mut detected);
-            }
-            StuckAtFault::Pin { inst, pin, stuck_one } => {
-                // Re-evaluate only this gate with the pin forced.
-                let instance = self.nl.instance(inst);
-                if instance.function().is_sequential() {
-                    return (0, 0);
-                }
-                let forced = if stuck_one { !0u64 } else { 0u64 };
-                let mut ins = [0u64; MAX_CELL_INPUTS];
-                for (k, &n) in instance.inputs.iter().enumerate() {
-                    ins[k] = good[n.index()];
-                }
-                ins[pin] = forced;
-                evals += 1;
-                let out = instance.function().eval(&ins[..instance.inputs.len()]);
-                seed_net(
-                    instance.output,
-                    out,
-                    &mut overlay,
-                    &mut heap,
-                    &mut queued,
-                    &mut detected,
-                );
-            }
-        }
-
-        // Forward propagation in level order.
-        while let Some(std::cmp::Reverse((_, raw))) = heap.pop() {
-            let id = InstanceId(raw);
-            let inst = self.nl.instance(id);
-            // Do not re-evaluate the faulty gate's output for a net fault:
-            // the fault forces the net regardless of gate inputs.
-            if let StuckAtFault::Net { net, .. } = fault {
-                if inst.output == net {
-                    continue;
-                }
-            }
-            let mut ins = [0u64; MAX_CELL_INPUTS];
-            for (k, &n) in inst.inputs.iter().enumerate() {
-                ins[k] = *overlay.get(&n).unwrap_or(&good[n.index()]);
-            }
-            evals += 1;
-            let out = inst.function().eval(&ins[..inst.inputs.len()]);
-            let prev = *overlay.get(&inst.output).unwrap_or(&good[inst.output.index()]);
-            if out != prev {
-                let diff = out ^ good[inst.output.index()];
-                if diff != 0 {
-                    overlay.insert(inst.output, out);
-                } else {
-                    overlay.remove(&inst.output);
-                }
-                if self.is_sink[inst.output.index()] {
-                    detected |= diff;
-                }
-                for &g in &self.comb_fanout[inst.output.index()] {
-                    if queued.insert(g) {
-                        heap.push(std::cmp::Reverse((self.level[g.index()], g.0)));
-                    }
-                }
-            }
-        }
-        (detected, evals)
-    }
-
-    /// Cached-engine fault simulation: walk the stem's precomputed cone
-    /// in level order, evaluating only gates reached by an event.
-    ///
-    /// Bit-identical to [`CombCircuit::detect_lanes`] for every fault
-    /// and pattern block: the cone order matches the reference heap's
-    /// pop order, each gate is evaluated at most once after all its
-    /// fanin writes (levelisation), and the two early exits are sound —
-    /// a lane can only ever be detected if the fault is excited in it
-    /// (`detected ⊆ excited`), so propagation past `detected == excited`
-    /// cannot add lanes, and an empty event set cannot create one.
-    pub fn detect_lanes_cached(
+    /// Walks the stem's precomputed cone in level order, evaluating only
+    /// gates reached by an event: each gate is evaluated at most once,
+    /// after all its fanin writes (levelisation), and the two early exits
+    /// are sound — a lane can only ever be detected if the fault is
+    /// excited in it (`detected ⊆ excited`), so propagation past
+    /// `detected == excited` cannot add lanes, and an empty event set
+    /// cannot create one.
+    pub fn detect_lanes(
         &self,
         fault: StuckAtFault,
         good: &[u64],
@@ -605,66 +479,39 @@ impl<'a> CombCircuit<'a> {
     }
 
     /// Fault-simulate a whole fault universe against one good-value
-    /// vector, partitioning the faults across threads.
+    /// vector, partitioning the faults across threads, and fold the work
+    /// into `counters`.
     ///
-    /// Uses the cached engine (the production default). Returns the
-    /// detecting lanes per fault, in `faults` order. Each fault's cone
-    /// propagation is independent of every other fault, so the result is
-    /// bit-identical to a serial loop over [`CombCircuit::detect_lanes`]
-    /// for any thread count and either [`FsimMode`].
+    /// Returns the detecting lanes per fault, in `faults` order. Each
+    /// fault's cone propagation is independent of every other fault, so
+    /// the result is bit-identical to a serial loop over
+    /// [`CombCircuit::detect_lanes`] for any thread count.
     pub fn detect_all(
         &self,
         faults: &[StuckAtFault],
         good: &[u64],
         parallelism: Parallelism,
-    ) -> Vec<u64> {
-        self.detect_all_mode(faults, good, parallelism, FsimMode::Cached, &FsimCounters::default())
-    }
-
-    /// [`CombCircuit::detect_all`] with an explicit engine choice and a
-    /// counter accumulator.
-    pub fn detect_all_mode(
-        &self,
-        faults: &[StuckAtFault],
-        good: &[u64],
-        parallelism: Parallelism,
-        mode: FsimMode,
         counters: &FsimCounters,
     ) -> Vec<u64> {
-        match mode {
-            FsimMode::Uncached => camsoc_par::map(parallelism, faults, |&f| {
-                let (lanes, evals) = self.detect_lanes_counted(f, good);
-                counters.add(FsimStats {
-                    faults_simulated: 1,
-                    gate_evals: evals,
-                    early_exits: 0,
-                    // overlay map + queue guard + event heap, per fault
-                    allocations: 3,
-                });
+        // build the cone index before entering the worker pool
+        let _ = self.cones();
+        camsoc_par::map_with(
+            parallelism,
+            faults,
+            || {
+                let scratch = FsimScratch::for_circuit(self);
+                counters.add(scratch.stats());
+                scratch
+            },
+            |scratch, &f| {
+                let before = scratch.stats();
+                let lanes = self.detect_lanes(f, good, scratch);
+                let mut delta = scratch.stats().since(&before);
+                delta.allocations = 0; // already counted at creation
+                counters.add(delta);
                 lanes
-            }),
-            FsimMode::Cached => {
-                // build the cone index before entering the worker pool
-                let _ = self.cones();
-                camsoc_par::map_with(
-                    parallelism,
-                    faults,
-                    || {
-                        let scratch = FsimScratch::for_circuit(self);
-                        counters.add(scratch.stats());
-                        scratch
-                    },
-                    |scratch, &f| {
-                        let before = scratch.stats();
-                        let lanes = self.detect_lanes_cached(f, good, scratch);
-                        let mut delta = scratch.stats().since(&before);
-                        delta.allocations = 0; // already counted at creation
-                        counters.add(delta);
-                        lanes
-                    },
-                )
-            }
-        }
+            },
+        )
     }
 }
 
@@ -699,14 +546,23 @@ mod tests {
         b.output("y", y);
         let nl = b.finish();
         let cc = CombCircuit::new(&nl).unwrap();
+        let mut scratch = FsimScratch::for_circuit(&cc);
         let ynet = cc.sinks[0];
         // patterns: lane0 a=0, lane1 a=1
         let good = cc.good_sim(&[0b10]);
         // y SA0: detected when good y == 1, i.e. a == 0 → lane 0
-        let lanes = cc.detect_lanes(StuckAtFault::Net { net: ynet, stuck_one: false }, &good);
+        let lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: ynet, stuck_one: false },
+            &good,
+            &mut scratch,
+        );
         assert_eq!(lanes & 0b11, 0b01);
         // y SA1: detected in lane 1
-        let lanes = cc.detect_lanes(StuckAtFault::Net { net: ynet, stuck_one: true }, &good);
+        let lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: ynet, stuck_one: true },
+            &good,
+            &mut scratch,
+        );
         assert_eq!(lanes & 0b11, 0b10);
     }
 
@@ -721,6 +577,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish();
         let cc = CombCircuit::new(&nl).unwrap();
+        let mut scratch = FsimScratch::for_circuit(&cc);
         let n_net = nl
             .instances()
             .find(|(_, i)| i.function() == CellFunction::Inv)
@@ -728,7 +585,11 @@ mod tests {
             .unwrap();
         // 4 lanes: (a,b) = 00,01,10,11
         let good = cc.good_sim(&[0b1100, 0b1010]);
-        let lanes = cc.detect_lanes(StuckAtFault::Net { net: n_net, stuck_one: true }, &good);
+        let lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: n_net, stuck_one: true },
+            &good,
+            &mut scratch,
+        );
         // SA1 on n differs from good when a=1 (n good=0); visible at y only
         // when b=1 → lane 3 only
         assert_eq!(lanes & 0xF, 0b1000);
@@ -747,16 +608,23 @@ mod tests {
         b.output("y2", y2);
         let nl = b.finish();
         let cc = CombCircuit::new(&nl).unwrap();
+        let mut scratch = FsimScratch::for_circuit(&cc);
         let good = cc.good_sim(&[0b1100, 0b1010]);
         let g1 = nl.find_instance("u_g1").unwrap();
         let a_net = nl.find_net("a").unwrap();
         // pin fault: only y1 affected → detected on lane a=1,b=1
-        let pin_lanes =
-            cc.detect_lanes(StuckAtFault::Pin { inst: g1, pin: 0, stuck_one: false }, &good);
+        let pin_lanes = cc.detect_lanes(
+            StuckAtFault::Pin { inst: g1, pin: 0, stuck_one: false },
+            &good,
+            &mut scratch,
+        );
         assert_eq!(pin_lanes & 0xF, 0b1000);
         // stem fault: both outputs affected, same detecting lanes here
-        let stem_lanes =
-            cc.detect_lanes(StuckAtFault::Net { net: a_net, stuck_one: false }, &good);
+        let stem_lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: a_net, stuck_one: false },
+            &good,
+            &mut scratch,
+        );
         assert_eq!(stem_lanes & 0xF, 0b1000);
     }
 
@@ -771,6 +639,7 @@ mod tests {
         b.output("z", q2);
         let nl = b.finish();
         let cc = CombCircuit::new(&nl).unwrap();
+        let mut scratch = FsimScratch::for_circuit(&cc);
         // sources: clk, d, q, q2 ; sinks: d(flop d-pin of first? no — d is
         // the first flop's D input), y (second flop's D), z(=q2 net is
         // also a source; z sink shares the q2 net)
@@ -783,7 +652,11 @@ mod tests {
             .map(|(_, i)| i.output)
             .unwrap();
         let good = cc.good_sim(&vec![0u64; cc.sources.len()]);
-        let lanes = cc.detect_lanes(StuckAtFault::Net { net: y_net, stuck_one: false }, &good);
+        let lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: y_net, stuck_one: false },
+            &good,
+            &mut scratch,
+        );
         // q == 0 in all lanes → y good = 1 → SA0 detected everywhere
         assert_eq!(lanes, !0u64);
     }
@@ -800,16 +673,25 @@ mod tests {
         b.output("y", y);
         let nl = b.finish();
         let cc = CombCircuit::new(&nl).unwrap();
+        let mut scratch = FsimScratch::for_circuit(&cc);
         let tie_net = nl
             .instances()
             .find(|(_, i)| i.function() == CellFunction::Tie1)
             .map(|(_, i)| i.output)
             .unwrap();
         let good = cc.good_sim(&[0b10]);
-        let lanes = cc.detect_lanes(StuckAtFault::Net { net: tie_net, stuck_one: true }, &good);
+        let lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: tie_net, stuck_one: true },
+            &good,
+            &mut scratch,
+        );
         assert_eq!(lanes, 0);
         // but SA0 on the tie net is detectable when a=1
-        let lanes = cc.detect_lanes(StuckAtFault::Net { net: tie_net, stuck_one: false }, &good);
+        let lanes = cc.detect_lanes(
+            StuckAtFault::Net { net: tie_net, stuck_one: false },
+            &good,
+            &mut scratch,
+        );
         assert_eq!(lanes & 0b11, 0b10);
     }
 
@@ -822,10 +704,11 @@ mod tests {
         let good = cc.good_sim(&assign);
         // most net SA faults should be detected by random patterns
         let fl = crate::faults::FaultList::generate(&nl);
+        let mut scratch = FsimScratch::for_circuit(&cc);
         let detected = fl
             .faults
             .iter()
-            .filter(|&&f| cc.detect_lanes(f, &good) != 0)
+            .filter(|&&f| cc.detect_lanes(f, &good, &mut scratch) != 0)
             .count();
         assert!(
             detected as f64 / fl.len() as f64 > 0.6,
@@ -858,29 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_lanes_match_reference_on_every_fault() {
-        for nl in [
-            generate::ripple_adder(8).unwrap(),
-            generate::fsm(6, 3, 3, 5),
-        ] {
-            let cc = CombCircuit::new(&nl).unwrap();
-            let fl = crate::faults::FaultList::generate(&nl);
-            let mut scratch = FsimScratch::for_circuit(&cc);
-            let mut rng = camsoc_netlist::generate::SplitMix64::new(7);
-            for _ in 0..3 {
-                let assign: Vec<u64> =
-                    (0..cc.sources.len()).map(|_| rng.next_u64()).collect();
-                let good = cc.good_sim(&assign);
-                for &f in &fl.faults {
-                    let reference = cc.detect_lanes(f, &good);
-                    let cached = cc.detect_lanes_cached(f, &good, &mut scratch);
-                    assert_eq!(cached, reference, "{}", f.describe(&nl));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn cached_engine_counts_fewer_or_equal_evals_and_no_allocs() {
         let nl = generate::ripple_adder(16).unwrap();
         let cc = CombCircuit::new(&nl).unwrap();
@@ -889,59 +749,42 @@ mod tests {
         let assign: Vec<u64> = (0..cc.sources.len()).map(|_| rng.next_u64()).collect();
         let good = cc.good_sim(&assign);
 
-        let uncached = FsimCounters::default();
-        let a = cc.detect_all_mode(
-            &fl.faults,
-            &good,
-            Parallelism::Serial,
-            FsimMode::Uncached,
-            &uncached,
-        );
-        let cached = FsimCounters::default();
-        let b = cc.detect_all_mode(
-            &fl.faults,
-            &good,
-            Parallelism::Serial,
-            FsimMode::Cached,
-            &cached,
-        );
-        assert_eq!(a, b);
-        let (u, c) = (uncached.snapshot(), cached.snapshot());
-        assert_eq!(u.faults_simulated, fl.len());
+        let counters = FsimCounters::default();
+        let lanes = cc.detect_all(&fl.faults, &good, Parallelism::Serial, &counters);
+        let mut scratch = FsimScratch::for_circuit(&cc);
+        let one_by_one: Vec<u64> =
+            fl.faults.iter().map(|&f| cc.detect_lanes(f, &good, &mut scratch)).collect();
+        assert_eq!(lanes, one_by_one);
+        // serially, the counters are exactly one scratch's: 3 vectors
+        // allocated once, nothing per fault
+        let c = counters.snapshot();
+        assert_eq!(c, scratch.stats());
         assert_eq!(c.faults_simulated, fl.len());
-        assert!(
-            c.gate_evals < u.gate_evals,
-            "cached {} evals vs uncached {}",
-            c.gate_evals,
-            u.gate_evals
-        );
         assert!(c.early_exits > 0);
-        // one scratch (3 vectors) total vs 3 containers per fault
         assert_eq!(c.allocations, 3);
-        assert_eq!(u.allocations, 3 * fl.len());
+        // no more gates than re-simulating the whole core per fault
+        assert!(c.gate_evals <= fl.len() * cc.order.len(), "{} evals", c.gate_evals);
     }
 
     #[test]
-    fn detect_all_is_mode_and_thread_invariant() {
+    fn detect_all_is_thread_invariant() {
         let nl = generate::fsm(8, 4, 4, 11);
         let cc = CombCircuit::new(&nl).unwrap();
         let fl = crate::faults::FaultList::generate(&nl);
         let mut rng = camsoc_netlist::generate::SplitMix64::new(21);
         let assign: Vec<u64> = (0..cc.sources.len()).map(|_| rng.next_u64()).collect();
         let good = cc.good_sim(&assign);
-        let reference = cc.detect_all_mode(
-            &fl.faults,
-            &good,
-            Parallelism::Serial,
-            FsimMode::Uncached,
-            &FsimCounters::default(),
-        );
-        for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
-            for mode in [FsimMode::Cached, FsimMode::Uncached] {
-                let got =
-                    cc.detect_all_mode(&fl.faults, &good, par, mode, &FsimCounters::default());
-                assert_eq!(got, reference, "{par:?} {mode:?}");
-            }
+        let serial = FsimCounters::default();
+        let reference = cc.detect_all(&fl.faults, &good, Parallelism::Serial, &serial);
+        for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
+            let counters = FsimCounters::default();
+            let got = cc.detect_all(&fl.faults, &good, par, &counters);
+            assert_eq!(got, reference, "{par:?}");
+            // per-fault work sums the same at any thread count
+            let (a, b) = (counters.snapshot(), serial.snapshot());
+            assert_eq!(a.faults_simulated, b.faults_simulated, "{par:?}");
+            assert_eq!(a.gate_evals, b.gate_evals, "{par:?}");
+            assert_eq!(a.early_exits, b.early_exits, "{par:?}");
         }
     }
 }

@@ -13,9 +13,10 @@
 //!   and fanout branches.
 //! * [`fsim`] — a 64-pattern-parallel fault simulator using the
 //!   full-scan combinational model (flop Q pins are pseudo-inputs, flop
-//!   D pins pseudo-outputs), with a shared per-net cone index and an
-//!   allocation-free epoch-stamped scratch on the default
-//!   [`fsim::FsimMode::Cached`] path.
+//!   D pins pseudo-outputs), with one engine: a shared per-net cone
+//!   index walked with an allocation-free epoch-stamped scratch. Tests
+//!   and `perf_report` check it against naive graph-walking oracles in
+//!   `camsoc-bench`.
 //! * [`atpg`] — random-pattern generation with fault dropping followed
 //!   by a PODEM-style deterministic phase for the stubborn faults.
 //! * [`vectors`] — scan-vector accounting: load/unload cycles and tester

@@ -374,6 +374,9 @@ pub fn decode(bytes: &[u8]) -> Result<Rgb, JpegError> {
                 let mut comps = Vec::new();
                 for c in 0..ncomp {
                     let b = &seg[6 + c * 3..9 + c * 3];
+                    if b[2] > 3 {
+                        return Err(bad("bad SOF0 quant table id"));
+                    }
                     comps.push(Component {
                         id: b[0],
                         h: b[1] >> 4,
@@ -398,10 +401,16 @@ pub fn decode(bytes: &[u8]) -> Result<Rgb, JpegError> {
                 if seg.is_empty() || seg[0] as usize != comps.len() {
                     return Err(bad("SOS component count mismatch"));
                 }
+                if seg.len() < 1 + comps.len() * 2 {
+                    return Err(bad("short SOS component list"));
+                }
                 let mut scan_comps = Vec::new();
                 for c in 0..comps.len() {
                     let id = seg[1 + c * 2];
                     let tables = seg[2 + c * 2];
+                    if tables >> 4 > 3 || tables & 0xF > 3 {
+                        return Err(bad("bad SOS table id"));
+                    }
                     let mut comp = *comps
                         .iter()
                         .find(|k| k.id == id)
@@ -629,6 +638,15 @@ mod tests {
             }
         }
         assert!(matches!(decode(&prog), Err(JpegError::Unsupported(_))));
+    }
+
+    #[test]
+    fn out_of_range_table_selector_is_a_typed_error() {
+        // byte 601 is the Cb component's SOS table selector, 0x11: the
+        // flip selects DC table 7 of 4, which once indexed out of bounds
+        let mut bytes = encode(&test_image(24, 16, 28), &EncodeParams::default()).unwrap();
+        bytes[601] ^= 0x6F;
+        assert!(matches!(decode(&bytes), Err(JpegError::BadStream(_))));
     }
 
     #[test]

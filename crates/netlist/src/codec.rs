@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::cell::{Cell, CellFunction, Drive};
-use crate::equiv::{EquivEngine, EquivOptions, EquivReport, EquivVerdict, SinkKey};
+use crate::equiv::{EquivOptions, EquivReport, EquivVerdict, SinkKey};
 use crate::graph::{
     Driver, Instance, InstanceId, MacroId, MacroInst, Net, NetId, Netlist, Port, PortDir,
     PortId,
@@ -821,22 +821,6 @@ impl Codec for Technology {
 // Equivalence checking
 // ---------------------------------------------------------------------
 
-impl Codec for EquivEngine {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u8(match self {
-            EquivEngine::Compiled => 0,
-            EquivEngine::Graph => 1,
-        });
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match d.get_u8()? {
-            0 => Ok(EquivEngine::Compiled),
-            1 => Ok(EquivEngine::Graph),
-            t => Err(CodecError::Corrupt(format!("equiv engine tag {t:#04x}"))),
-        }
-    }
-}
-
 impl Codec for EquivOptions {
     fn encode(&self, e: &mut Encoder) {
         e.put_usize(self.random_rounds);
@@ -844,7 +828,6 @@ impl Codec for EquivOptions {
         e.put_usize(self.bdd_node_limit);
         e.put_u64(self.seed);
         self.parallelism.encode(e);
-        self.engine.encode(e);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(EquivOptions {
@@ -853,7 +836,6 @@ impl Codec for EquivOptions {
             bdd_node_limit: d.get_usize()?,
             seed: d.get_u64()?,
             parallelism: Parallelism::decode(d)?,
-            engine: EquivEngine::decode(d)?,
         })
     }
 }

@@ -38,7 +38,7 @@
 //! scratch carries capacity from cone to cone, never values.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use camsoc_par::Parallelism;
@@ -47,7 +47,7 @@ use crate::cell::{CellFunction, MAX_CELL_INPUTS};
 use crate::compiled::CompiledNetlist;
 use crate::error::NetlistError;
 use crate::generate::SplitMix64;
-use crate::graph::{InstanceId, NetDriver, NetId, Netlist};
+use crate::graph::{InstanceId, NetId, Netlist};
 
 /// A combinational source point (pseudo-primary input).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,27 +71,11 @@ pub enum SinkKey {
     MacroIn(String, usize),
 }
 
-/// Which data structure the random simulation and the support walks of
-/// an equivalence check walk; the BDD cone build always reads the
-/// compiled snapshot. Both engines are bit-identical by construction;
-/// the graph engine is kept as the pointer-chasing reference the
-/// compiled engine is validated against (and benchmarked against in
-/// `perf_report`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EquivEngine {
-    /// Walk the [`CompiledNetlist`] SoA/CSR snapshot (default).
-    #[default]
-    Compiled,
-    /// Walk the [`Netlist`] graph directly.
-    Graph,
-}
-
 /// The combinational view of a netlist: sources, sinks and a compiled
 /// SoA snapshot (whose `(level, id)` order is the evaluation order),
 /// ready for bit-parallel simulation.
 #[derive(Debug)]
 pub struct CombModel<'a> {
-    nl: &'a Netlist,
     /// The caller's snapshot ([`CombModel::with_compiled`]) or one
     /// compiled by [`CombModel::new`].
     compiled: Cow<'a, CompiledNetlist>,
@@ -158,7 +142,7 @@ impl<'a> CombModel<'a> {
         for (i, &net) in sources.values().enumerate() {
             source_of_net[net.index()] = i as u32;
         }
-        CombModel { nl, compiled, source_of_net, sources, sinks }
+        CombModel { compiled, source_of_net, sources, sinks }
     }
 
     /// Evaluate the combinational core bit-parallel, walking the
@@ -166,8 +150,7 @@ impl<'a> CombModel<'a> {
     ///
     /// `assign` gives a 64-lane value per source (in the iteration order
     /// of [`CombModel::sources`]). Returns one value per net; unassigned,
-    /// undriven nets evaluate to 0. Bit-identical to
-    /// [`CombModel::eval_graph`].
+    /// undriven nets evaluate to 0.
     pub fn eval(&self, assign: &[u64]) -> Vec<u64> {
         debug_assert_eq!(assign.len(), self.sources.len());
         let cn: &CompiledNetlist = &self.compiled;
@@ -194,44 +177,6 @@ impl<'a> CombModel<'a> {
         values
     }
 
-    /// The graph-walking reference evaluator: same contract and results
-    /// as [`CombModel::eval`], reading `Instance`/`Net` structs through
-    /// pointers instead of the compiled arrays. Kept as the engine the
-    /// compiled path is validated and benchmarked against.
-    pub fn eval_graph(&self, assign: &[u64]) -> Vec<u64> {
-        debug_assert_eq!(assign.len(), self.sources.len());
-        let mut values = vec![0u64; self.nl.num_nets()];
-        for (value, (_, &net)) in assign.iter().zip(self.sources.iter()) {
-            values[net.index()] = *value;
-        }
-        for &id in self.compiled.topo_order() {
-            let inst = self.nl.instance(id);
-            let f = inst.function();
-            let out = match f {
-                CellFunction::Tie0 => 0,
-                CellFunction::Tie1 => !0u64,
-                _ => {
-                    let mut ins = [0u64; MAX_CELL_INPUTS];
-                    for (k, &n) in inst.inputs.iter().enumerate() {
-                        ins[k] = values[n.index()];
-                    }
-                    f.eval(&ins[..inst.inputs.len()])
-                }
-            };
-            values[inst.output.index()] = out;
-        }
-        values
-    }
-
-    /// Dispatch [`CombModel::eval`] / [`CombModel::eval_graph`] on an
-    /// [`EquivEngine`] selector.
-    pub fn eval_with(&self, engine: EquivEngine, assign: &[u64]) -> Vec<u64> {
-        match engine {
-            EquivEngine::Compiled => self.eval(assign),
-            EquivEngine::Graph => self.eval_graph(assign),
-        }
-    }
-
     /// Sink values extracted from a full net-value vector, in
     /// [`CombModel::sinks`] iteration order.
     pub fn sink_values(&self, values: &[u64]) -> Vec<u64> {
@@ -241,7 +186,7 @@ impl<'a> CombModel<'a> {
     /// Transitive-fanin support (as sorted source indices) of a sink
     /// net, walking the compiled CSR fanin rows with a dense visited
     /// array and the precomputed net→source table — no hashing in the
-    /// loop. Bit-identical to [`CombModel::cone_support_graph`].
+    /// loop.
     pub fn cone_support(&self, sink_net: NetId) -> Vec<usize> {
         let mut support = Vec::new();
         self.support_into(
@@ -295,40 +240,6 @@ impl<'a> CombModel<'a> {
             }
         }
         true
-    }
-
-    /// The graph-walking reference for [`CombModel::cone_support`]:
-    /// per-call hash maps and a DFS through `Net`/`Instance` structs.
-    /// Same sorted result.
-    pub fn cone_support_graph(&self, sink_net: NetId) -> Vec<usize> {
-        let source_index: HashMap<NetId, usize> =
-            self.sources.values().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut support = HashSet::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![sink_net];
-        while let Some(net) = stack.pop() {
-            if !seen.insert(net) {
-                continue;
-            }
-            if let Some(&si) = source_index.get(&net) {
-                support.insert(si);
-                continue;
-            }
-            // ports/macros are sources; undriven → constant 0
-            if let Some(NetDriver::Instance(id)) = self.nl.net(net).driver {
-                let inst = self.nl.instance(id);
-                if inst.function().is_sequential() {
-                    // its Q is a source; handled above via source_index
-                    continue;
-                }
-                for &i in &inst.inputs {
-                    stack.push(i);
-                }
-            }
-        }
-        let mut v: Vec<usize> = support.into_iter().collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -670,11 +581,6 @@ pub struct EquivOptions {
     /// all report counters are bit-identical to `Serial` (the first
     /// mismatch in round/sink order always wins).
     pub parallelism: Parallelism,
-    /// Traversal engine for random simulation and support walks (the
-    /// BDD cone build always reads the compiled snapshot). Both produce
-    /// bit-identical reports; `Graph` exists as the reference to
-    /// validate/benchmark `Compiled` against.
-    pub engine: EquivEngine,
 }
 
 impl Default for EquivOptions {
@@ -685,7 +591,6 @@ impl Default for EquivOptions {
             bdd_node_limit: 200_000,
             seed: 0xEC0,
             parallelism: Parallelism::Serial,
-            engine: EquivEngine::Compiled,
         }
     }
 }
@@ -819,8 +724,8 @@ pub fn check_models(ma: &CombModel<'_>, mb: &CombModel<'_>, options: &EquivOptio
         .map(|_| (0..nsrc).map(|_| rng.next_u64()).collect())
         .collect();
     let mismatch = camsoc_par::find_first(options.parallelism, assigns.len(), |round| {
-        let va = ma.eval_with(options.engine, &assigns[round]);
-        let vb = mb.eval_with(options.engine, &assigns[round]);
+        let va = ma.eval(&assigns[round]);
+        let vb = mb.eval(&assigns[round]);
         let sa = ma.sink_values(&va);
         let sb = mb.sink_values(&vb);
         (0..nsink).find(|&i| sa[i] != sb[i])
@@ -922,19 +827,11 @@ impl ProofScratch {
         self.mgr.reset();
         let cap = options.max_support;
         self.support.clear();
-        match options.engine {
-            EquivEngine::Compiled => {
-                let ProofScratch { slots, walk, support, .. } = self;
-                if !ma.support_into(net_a, slots, walk, support, cap)
-                    || !mb.support_into(net_b, slots, walk, support, cap)
-                {
-                    return ConeOutcome::Unproven;
-                }
-            }
-            EquivEngine::Graph => {
-                self.support.extend(ma.cone_support_graph(net_a));
-                self.support.extend(mb.cone_support_graph(net_b));
-            }
+        let ProofScratch { slots, walk, support, .. } = self;
+        if !ma.support_into(net_a, slots, walk, support, cap)
+            || !mb.support_into(net_b, slots, walk, support, cap)
+        {
+            return ConeOutcome::Unproven;
         }
         self.support.sort_unstable();
         self.support.dedup();
@@ -1375,31 +1272,29 @@ mod tests {
         let eco = eco_fixture();
         let chain = (and_chain(false), and_chain(true));
         let rounds = [&small, &eco, &chain, &small, &eco];
-        for engine in [EquivEngine::Compiled, EquivEngine::Graph] {
-            let options = EquivOptions { bdd_node_limit: 64, engine, ..EquivOptions::default() };
-            let mut reused = ProofScratch::new(options.bdd_node_limit);
-            let mut seen = [0usize; 3];
-            for (round, (a, b)) in rounds.iter().enumerate() {
-                if round == 2 {
-                    // wrap at the chain's first build (epoch 1), every slot
-                    // holding that stamp, as slots last written 2^32
-                    // traversals earlier may
-                    reused.slots.slot.fill((1, Bdd::ONE));
-                    reused.slots.epoch = u32::MAX - 2;
-                }
-                let (ma, mb) = (CombModel::new(a).unwrap(), CombModel::new(b).unwrap());
-                for (&net_a, &net_b) in ma.sinks.values().zip(mb.sinks.values()) {
-                    let mut fresh = ProofScratch::new(options.bdd_node_limit);
-                    let want = fresh.prove(&ma, &mb, net_a, net_b, &options);
-                    let got = reused.prove(&ma, &mb, net_a, net_b, &options);
-                    let nodes = (reused.mgr.num_nodes(), fresh.mgr.num_nodes());
-                    assert_eq!(got, want, "{engine:?} round {round}");
-                    assert_eq!(nodes.0, nodes.1, "{engine:?} round {round}");
-                    seen[got as usize] += 1;
-                }
+        let options = EquivOptions { bdd_node_limit: 64, ..EquivOptions::default() };
+        let mut reused = ProofScratch::new(options.bdd_node_limit);
+        let mut seen = [0usize; 3];
+        for (round, (a, b)) in rounds.iter().enumerate() {
+            if round == 2 {
+                // wrap at the chain's first build (epoch 1), every slot
+                // holding that stamp, as slots last written 2^32
+                // traversals earlier may
+                reused.slots.slot.fill((1, Bdd::ONE));
+                reused.slots.epoch = u32::MAX - 2;
             }
-            assert!(seen.iter().all(|&n| n > 0), "{engine:?}: every outcome exercised, {seen:?}");
+            let (ma, mb) = (CombModel::new(a).unwrap(), CombModel::new(b).unwrap());
+            for (&net_a, &net_b) in ma.sinks.values().zip(mb.sinks.values()) {
+                let mut fresh = ProofScratch::new(options.bdd_node_limit);
+                let want = fresh.prove(&ma, &mb, net_a, net_b, &options);
+                let got = reused.prove(&ma, &mb, net_a, net_b, &options);
+                let nodes = (reused.mgr.num_nodes(), fresh.mgr.num_nodes());
+                assert_eq!(got, want, "round {round}");
+                assert_eq!(nodes.0, nodes.1, "round {round}");
+                seen[got as usize] += 1;
+            }
         }
+        assert!(seen.iter().all(|&n| n > 0), "every outcome exercised, {seen:?}");
     }
 
     #[test]

@@ -39,6 +39,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use camsoc_core::persist::write_atomic;
+
 use crate::job::{JobId, JobState, Priority};
 use crate::lock::FileLock;
 
@@ -359,9 +361,7 @@ impl JobLedger {
                 col(&entry.detail),
             );
         }
-        let tmp = sibling_with_suffix(&self.path, ".tmp");
-        fs::write(&tmp, text.as_bytes())?;
-        fs::rename(&tmp, &self.path)
+        write_atomic(&self.path, text.as_bytes())
     }
 
     /// Last recorded state of `job`, if it was ever recorded.
@@ -406,8 +406,7 @@ impl JobLedger {
     }
 }
 
-/// Temp/lock-file sibling (same directory, so an atomic `rename` never
-/// crosses a filesystem boundary and the lock lives next to the data).
+/// Lock-file sibling: the lock lives next to the data it guards.
 fn sibling_with_suffix(path: &Path, suffix: &str) -> PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     name.push(suffix);

@@ -3,15 +3,16 @@
 //! Each farm directory holds, per job, a `job-NNNNNN.req` (the
 //! [`JobRequest`] under its own magic/version header) and — once the
 //! first stage completes — a `job-NNNNNN.ckpt` ([`FlowCheckpoint`] via
-//! [`camsoc_core::persist`]). Both are written atomically
-//! (write-temp-then-rename), so a kill at any instant leaves either the
-//! previous good file or the new good file, never a torn one.
+//! [`camsoc_core::persist`]). Both are written atomically by
+//! [`write_atomic`] (write-temp-then-rename), so a kill at any instant
+//! leaves either the previous good file or the new good file, never a
+//! torn one.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use camsoc_core::persist::PersistError;
+use camsoc_core::persist::{write_atomic, PersistError};
 use camsoc_core::FlowCheckpoint;
 use camsoc_netlist::codec::{Codec, CodecError, Decoder, Encoder};
 
@@ -23,10 +24,11 @@ pub const REQUEST_MAGIC: u32 = u32::from_le_bytes(*b"CREQ");
 /// Request files embed [`FlowOptions`](camsoc_core::flow::FlowOptions),
 /// so the version moves with
 /// [`CHECKPOINT_VERSION`](camsoc_core::persist::CHECKPOINT_VERSION):
-/// version 3 is the first whose options carry
-/// `RouteConfig::capacity_scale`. Older files are refused with
-/// [`CodecError::Version`].
-pub const REQUEST_VERSION: u32 = 3;
+/// version 3 was the first whose options carry
+/// `RouteConfig::capacity_scale`, and version 4 dropped their
+/// fault-simulation and equivalence engine tags. Older files are refused
+/// with [`CodecError::Version`].
+pub const REQUEST_VERSION: u32 = 4;
 
 /// Durable per-job storage rooted at a farm directory.
 #[derive(Debug, Clone)]
@@ -77,10 +79,7 @@ impl CheckpointStore {
         e.put_u32(REQUEST_MAGIC);
         e.put_u32(REQUEST_VERSION);
         request.encode(&mut e);
-        let path = self.request_path(job);
-        let tmp = sibling_tmp(&path);
-        fs::write(&tmp, e.into_bytes())?;
-        fs::rename(&tmp, &path)
+        write_atomic(&self.request_path(job), &e.into_bytes())
     }
 
     /// Load `job`'s request back from disk.
@@ -122,7 +121,7 @@ impl CheckpointStore {
     ///
     /// [`io::Error`] on filesystem failure.
     pub fn save_checkpoint(&self, job: JobId, checkpoint: &FlowCheckpoint) -> io::Result<()> {
-        checkpoint.save_atomic(&self.checkpoint_path(job))
+        write_atomic(&self.checkpoint_path(job), &checkpoint.to_bytes())
     }
 
     /// Load `job`'s checkpoint if one was ever written.
@@ -157,10 +156,7 @@ impl CheckpointStore {
     ///
     /// [`io::Error`] on filesystem failure.
     pub fn save_gds(&self, job: JobId, gds: &[u8]) -> io::Result<()> {
-        let path = self.gds_path(job);
-        let tmp = sibling_tmp(&path);
-        fs::write(&tmp, gds)?;
-        fs::rename(&tmp, &path)
+        write_atomic(&self.gds_path(job), gds)
     }
 
     /// Remove `job`'s exported GDSII (retention pruning).
@@ -180,12 +176,6 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
         Err(e) => Err(e),
     }
-}
-
-fn sibling_tmp(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -232,9 +222,10 @@ mod tests {
             FlowOptions::default(),
         );
         // Versions 1 and 2 embed flow options without
-        // `capacity_scale`; a future version is unknown. Each is
-        // refused at the header, with a typed version error.
-        for found in [1u32, 2, 99] {
+        // `capacity_scale`, version 3 with the engine tags; a future
+        // version is unknown. Each is refused at the header, with a
+        // typed version error.
+        for found in [1u32, 2, 3, 99] {
             let mut e = Encoder::new();
             e.put_u32(REQUEST_MAGIC);
             e.put_u32(found);
@@ -264,7 +255,7 @@ mod tests {
         }
         assert_eq!(
             (REQUEST_VERSION, camsoc_core::persist::CHECKPOINT_VERSION, digest),
-            (3, 2, 0xf1e2_2222_b07f_1e72),
+            (4, 3, 0xb023_f51d_5655_5df6),
             "the FlowOptions encoding changed: bump REQUEST_VERSION and \
              CHECKPOINT_VERSION, then re-pin this digest"
         );

@@ -8,14 +8,21 @@
 //! get right: an empty trace, stages with zero attempts, the
 //! `resumed` flag, non-ASCII design names, arbitrary GDSII byte
 //! payloads, truncation at every byte boundary, and header damage.
+//! Seeded interior byte flips in checkpoints and request files must
+//! decode to a value or a typed error, never a panic.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use camsoc::dft::atpg::AtpgConfig;
 use camsoc::flow::flow::{FlowCheckpoint, FlowOptions, FlowSupervisor};
 use camsoc::flow::StageId;
 use camsoc::layout::place::{PlacementConfig, PlacementMode};
 use camsoc::layout::ImplementOptions;
-use camsoc::netlist::generate::{self, IpBlockParams};
+use camsoc::netlist::codec::{Codec, CodecError, Decoder};
+use camsoc::netlist::generate::{self, IpBlockParams, SplitMix64};
 use camsoc::netlist::graph::Netlist;
+use camsoc::serve::{CheckpointStore, DesignSpec, JobId, JobRequest, Priority};
 
 fn quick_options() -> FlowOptions {
     FlowOptions {
@@ -163,5 +170,86 @@ fn seeded_designs_round_trip_at_random_frontiers() {
         }
         let back = round_trip(&ckpt);
         assert_eq!(back, ckpt, "seed {seed} after {stages_to_run} stages");
+    }
+}
+
+/// Both file kinds start with a 4-byte magic and a 4-byte version.
+const HEADER: usize = 8;
+
+/// `bytes` with 1–3 bytes past the header XORed with nonzero values,
+/// and a description of the flips.
+fn flip_interior(bytes: &[u8], rng: &mut SplitMix64) -> (Vec<u8>, String) {
+    let mut out = bytes.to_vec();
+    let mut flips = Vec::new();
+    for _ in 0..1 + rng.next_u64() % 3 {
+        let at = HEADER + (rng.next_u64() % (out.len() - HEADER) as u64) as usize;
+        let mask = 1 + (rng.next_u64() % 255) as u8;
+        out[at] ^= mask;
+        flips.push(format!("[{at}] ^= {mask:#04x}"));
+    }
+    (out, flips.join(", "))
+}
+
+/// Run `decode`, turning a panic into a test failure that names the
+/// input `what`; true if it decoded to a value.
+fn decodes_without_panic<T, E>(what: &str, decode: impl FnOnce() -> Result<T, E>) -> bool {
+    match catch_unwind(AssertUnwindSafe(decode)) {
+        Ok(result) => result.is_ok(),
+        Err(_) => panic!("decoding {what} panicked"),
+    }
+}
+
+#[test]
+fn interior_byte_flips_in_checkpoints_decode_or_fail_typed() {
+    // the fresh checkpoint and every stage frontier of a small flow
+    let mut ckpt = FlowCheckpoint::new(block("flip", 80, 21));
+    let supervisor = FlowSupervisor::new(quick_options());
+    let mut frontiers = vec![ckpt.to_bytes()];
+    while supervisor.advance(&mut ckpt).expect("advance").is_some() {
+        frontiers.push(ckpt.to_bytes());
+    }
+    assert_eq!(frontiers.len(), StageId::ALL.len() + 1);
+    let mut rng = SplitMix64::new(0xC4B7);
+    let mut decoded = 0usize;
+    for (frontier, bytes) in frontiers.iter().enumerate() {
+        for _ in 0..250 {
+            let (bad, flips) = flip_interior(bytes, &mut rng);
+            let what = format!("checkpoint frontier {frontier} with {flips}");
+            decoded += usize::from(decodes_without_panic(&what, || FlowCheckpoint::from_bytes(&bad)));
+        }
+    }
+    // most flips land in a length, tag or audited field and are refused
+    assert!(decoded < frontiers.len() * 250, "every flipped checkpoint decoded");
+}
+
+#[test]
+fn interior_byte_flips_in_request_files_decode_or_fail_typed() {
+    let dir = std::env::temp_dir().join(format!("camsoc-creq-flips-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("store");
+    let request = JobRequest::new(
+        DesignSpec::IpBlock { name: "flip".into(), target_gates: 300, seed: 9 },
+        quick_options(),
+    )
+    .with_deadline(Duration::from_millis(1500))
+    .with_priority(Priority::Critical);
+    let job = JobId(1);
+    store.save_request(job, &request).expect("save");
+    let good = std::fs::read(store.request_path(job)).expect("read");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    // the payload decode `CheckpointStore::load_request` runs once the
+    // header checks pass, in memory: a file write per input would make
+    // the test I/O-bound
+    let decode = |bytes: &[u8]| -> Result<JobRequest, CodecError> {
+        let mut d = Decoder::new(&bytes[HEADER..]);
+        let request = JobRequest::decode(&mut d)?;
+        d.expect_end()?;
+        Ok(request)
+    };
+    assert_eq!(decode(&good).expect("decode"), request);
+    let mut rng = SplitMix64::new(0xC8E9);
+    for _ in 0..2_000 {
+        let (bad, flips) = flip_interior(&good, &mut rng);
+        decodes_without_panic(&format!("request with {flips}"), || decode(&bad));
     }
 }

@@ -1,25 +1,29 @@
 //! Integration: the compiled (SoA/CSR) netlist snapshot must be an
 //! exact, bit-faithful mirror of the graph it was compiled from — and
-//! every traversal kernel ported onto it (fault simulation, equivalence
-//! cones) must produce results indistinguishable from the graph-walking
-//! engines, at every thread count, before and after the snapshot is
-//! patched through the ECO journal. (STA has no graph engine outside
-//! tests; its oracle lives beside it in `camsoc-sta`.)
+//! every traversal kernel that runs on it (fault simulation, equivalence
+//! cones) must match the naive graph-walking oracles of
+//! `camsoc_bench::oracle`, or reports recorded while a graph-walking
+//! engine still ran beside it, at every thread count, before and after
+//! the snapshot is patched through the ECO journal. (STA's oracle reads
+//! private engine state, so it lives beside it in `camsoc-sta`.)
 
 use camsoc::dft::faults::FaultList;
-use camsoc::dft::fsim::{CombCircuit, FsimCounters, FsimMode};
+use camsoc::dft::fsim::{CombCircuit, FsimCounters};
 use camsoc::dft::scan::{insert_scan, ScanConfig};
 use camsoc::flow::build_dsc;
 use camsoc::flow::eco::{apply_change, paper_change_history, ReplayContext};
 use camsoc::netlist::cell::CellFunction;
 use camsoc::netlist::compiled::{CompiledNetlist, CLOCK_PIN};
 use camsoc::netlist::eco::EcoSession;
-use camsoc::netlist::equiv::{check_equivalence, CombModel, EquivEngine, EquivOptions};
+use camsoc::netlist::equiv::{
+    check_equivalence, CombModel, EquivOptions, EquivReport, EquivVerdict, SinkKey,
+};
 use camsoc::netlist::generate::{ip_block, IpBlockParams, SplitMix64};
-use camsoc::netlist::graph::{NetDriver, Netlist};
+use camsoc::netlist::graph::{NetDriver, NetId, Netlist};
 use camsoc::netlist::tech::Technology;
 use camsoc::par::Parallelism;
 use camsoc::sta::{multi_corner, Constraints, Corner, Sta};
+use camsoc_bench::oracle;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 const SEEDS: [u64; 2] = [9, 23];
@@ -114,21 +118,21 @@ fn fsim_on_compiled_core_matches_uncached_reference_across_threads() {
         let assign: Vec<u64> = (0..cc.sources.len()).map(|_| rng.next_u64()).collect();
         let good = cc.good_sim(&assign);
 
-        // the uncached engine still walks the graph per fault; the
-        // cached engine's cone walks read only the compiled arrays
-        let reference = cc.detect_all_mode(
-            &faults.faults,
-            &good,
-            Parallelism::Serial,
-            FsimMode::Uncached,
-            &FsimCounters::default(),
-        );
+        // the oracle re-simulates the whole graph per fault; the
+        // engine's cone walks read only the compiled arrays
+        let sources: Vec<(NetId, u64)> = cc.sources.iter().copied().zip(assign).collect();
+        let oracle_good = oracle::comb_values(&nl, &sources, None);
+        assert_eq!(good, oracle_good, "seed {seed}: good values");
+        let reference: Vec<u64> = faults
+            .faults
+            .iter()
+            .map(|&f| oracle::fault_lanes(&nl, &sources, &oracle_good, f))
+            .collect();
         for t in THREADS {
-            let cached = cc.detect_all_mode(
+            let cached = cc.detect_all(
                 &faults.faults,
                 &good,
                 Parallelism::Threads(t),
-                FsimMode::Cached,
                 &FsimCounters::default(),
             );
             assert_eq!(cached, reference, "seed {seed} t{t}");
@@ -163,8 +167,34 @@ fn multi_corner_fan_out_on_compiled_core_matches_direct_analyses() {
     }
 }
 
+/// `(seed, label, report)` for each pair that
+/// `equiv_reports_are_pinned_across_threads` checks, recorded while a
+/// graph-walking engine still ran beside the compiled one and matched it
+/// at every thread count.
+fn pinned_equiv_reports() -> [(u64, &'static str, EquivReport); 4] {
+    let equivalent = |n| EquivReport {
+        verdict: EquivVerdict::Equivalent,
+        sinks_compared: n,
+        cones_proven: n,
+        vectors_applied: 2048,
+    };
+    let differs = |n, flop: &str| EquivReport {
+        verdict: EquivVerdict::NotEquivalent { sink: SinkKey::StateD(flop.into(), 0) },
+        sinks_compared: n,
+        cones_proven: 0,
+        vectors_applied: 64,
+    };
+    [
+        (9, "identical", equivalent(177)),
+        (9, "mutated", differs(177, "u_dff_723")),
+        (23, "identical", equivalent(182)),
+        (23, "mutated", differs(182, "u_dff_1042")),
+    ]
+}
+
 #[test]
-fn equiv_engines_agree_across_threads() {
+fn equiv_reports_are_pinned_across_threads() {
+    let pins = pinned_equiv_reports();
     for seed in SEEDS {
         let golden = ip_block(
             "blk",
@@ -183,24 +213,21 @@ fn equiv_engines_agree_across_threads() {
         let (mutated, _) = eco.finish();
 
         for (label, b) in [("identical", golden.clone()), ("mutated", mutated)] {
-            let reference = check_equivalence(
-                &golden,
-                &b,
-                &EquivOptions { engine: EquivEngine::Graph, ..EquivOptions::default() },
-            )
-            .expect("equiv");
+            let (_, _, want) = pins
+                .iter()
+                .find(|(s, l, _)| *s == seed && *l == label)
+                .expect("a pinned report");
             for t in THREADS {
-                let compiled = check_equivalence(
+                let got = check_equivalence(
                     &golden,
                     &b,
                     &EquivOptions {
-                        engine: EquivEngine::Compiled,
                         parallelism: Parallelism::Threads(t),
                         ..EquivOptions::default()
                     },
                 )
                 .expect("equiv");
-                assert_eq!(compiled, reference, "{label} seed {seed} t{t}");
+                assert_eq!(&got, want, "{label} seed {seed} t{t}");
             }
         }
     }
@@ -208,6 +235,7 @@ fn equiv_engines_agree_across_threads() {
 
 #[test]
 fn per_cone_supports_agree_between_engines() {
+    // the compiled model's support walks and values against the oracle
     for seed in SEEDS {
         let nl = ip_block(
             "blk",
@@ -215,16 +243,23 @@ fn per_cone_supports_agree_between_engines() {
         )
         .expect("generate");
         let model = CombModel::new(&nl).expect("model");
+        let sources: Vec<NetId> = model.sources.values().copied().collect();
         for &sink in model.sinks.values() {
             assert_eq!(
                 model.cone_support(sink),
-                model.cone_support_graph(sink),
+                oracle::cone_support(&nl, &sources, sink),
                 "seed {seed} sink net {sink:?}"
             );
         }
         let mut rng = SplitMix64::new(seed);
-        let assign: Vec<u64> = (0..model.sources.len()).map(|_| rng.next_u64()).collect();
-        assert_eq!(model.eval(&assign), model.eval_graph(&assign), "seed {seed}");
+        let assign: Vec<u64> = (0..sources.len()).map(|_| rng.next_u64()).collect();
+        let assigned: Vec<(NetId, u64)> =
+            sources.iter().copied().zip(assign.iter().copied()).collect();
+        assert_eq!(
+            model.eval(&assign),
+            oracle::comb_values(&nl, &assigned, None),
+            "seed {seed}"
+        );
     }
 }
 

@@ -8,12 +8,14 @@ use camsoc::flow::signoff::SignoffReport;
 use camsoc::dft::atpg::AtpgConfig;
 use camsoc::layout::place::{PlacementConfig, PlacementMode};
 use camsoc::layout::ImplementOptions;
-use camsoc::netlist::codec::{Codec, Encoder};
 use camsoc::netlist::generate::{ip_block, IpBlockParams};
 use camsoc::netlist::stats::NetlistStats;
 use camsoc::netlist::tech::Technology;
 use camsoc::par::Parallelism;
 use camsoc::sta::{multi_corner, Constraints, Corner, Sta};
+
+mod common;
+use common::flow_digest;
 
 /// The compile audit: one compile in pre-layout STA, one in Scan, none
 /// in any other stage.
@@ -151,26 +153,6 @@ fn faster_clock_is_harder_to_close() {
         .expect("fresh sign-off");
     assert_eq!(stressed.corner_signoff, fresh);
     assert_eq!(flow_digest(&stressed), PINNED_FIX_LOOP);
-}
-
-/// FNV-1a over a flow's sign-off products: the encoded pre-layout
-/// timing, sign-off timing, two-corner sign-off, equivalence report and
-/// ATPG result, then the timing-ECO count, both STA evaluation counters
-/// and the GDSII bytes.
-fn flow_digest(r: &FlowResult) -> u64 {
-    let mut e = Encoder::new();
-    r.pre_layout_timing.encode(&mut e);
-    r.signoff_timing.encode(&mut e);
-    r.corner_signoff.encode(&mut e);
-    r.equivalence.encode(&mut e);
-    r.atpg.encode(&mut e);
-    e.put_usize(r.timing_ecos);
-    e.put_usize(r.sta_incremental_evals);
-    e.put_usize(r.sta_full_evals);
-    e.put_bytes(&r.gds);
-    e.into_bytes()
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 // [`flow_digest`]s recorded with the graph-walking STA pass (before
