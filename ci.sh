@@ -135,15 +135,25 @@ echo "compiled smoke wall clock: $((t6 - t5)) s"
 # (stage-budget simulated kill: ledger frozen at `running`, checkpoints
 # on disk), restart it on the same directory, and require all 3 jobs to
 # complete with clean sign-off, >= 1 trace recording resumed == true,
-# and GDSII bit-identical to uninterrupted supervisor runs. The
-# kill-after-every-stage matrix behind it also runs named from the
-# suite so a checkpoint-durability regression is called out in the log.
+# and GDSII bit-identical to uninterrupted supervisor runs. A completed
+# stage is recorded once, in the job's checkpoint, so three tests from
+# the suite run named beside it: the kill-after-every-stage matrix; a
+# stage-boundary heartbeat that does not preempt must leave the ledger
+# file's bytes and inode unchanged, and one that preempts must still
+# write `preempted`; and `finish()` on an unfinished checkpoint must
+# take nothing, so a resume runs only the remaining stages. A
+# checkpoint-durability or ledger-write regression is then called out
+# in the log.
 echo "== serve: durable farm kill/restart smoke =="
 rm -rf target/ci-serve-smoke
 cargo run -q --release -p camsoc-serve --bin serve_smoke target/ci-serve-smoke
 rm -rf target/ci-serve-smoke
 cargo test -q --release --test serve_farm \
     kill_after_every_stage_resumes_bit_identical
+cargo test -q --release -p camsoc-serve --lib \
+    farm::tests::a_heartbeat_that_does_not_preempt_leaves_the_ledger_unwritten
+cargo test -q --release --test resilience \
+    finish_on_an_unfinished_checkpoint_keeps_every_completed_stage
 t7=$(date +%s)
 echo "serve smoke wall clock: $((t7 - t6)) s"
 

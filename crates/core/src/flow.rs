@@ -377,11 +377,13 @@ pub(crate) struct TimingFixOutcome {
 }
 
 /// One stage's committed product.
-#[allow(clippy::large_enum_variant)] // transient: moved straight into FlowState
-#[derive(Debug)]
-enum StageOutput {
+#[allow(clippy::large_enum_variant)] // stored, but at most one per stage: nine in all
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum StageOutput {
     Validated,
     PreSta(TimingReport),
+    /// The scanned netlist with its snapshot, which is never encoded (a
+    /// decode re-derives it).
     Scan { netlist: Netlist, compiled: CompiledNetlist, report: ScanReport },
     Atpg(AtpgResult),
     Layout(LayoutResult),
@@ -391,22 +393,42 @@ enum StageOutput {
     StreamOut(Vec<u8>),
 }
 
-/// All intermediate products of a run, one slot per completed stage.
+/// All intermediate products of a run: the input, then the product of
+/// each completed stage in [`StageId::ALL`] order. Stages run strictly in
+/// that order, so `StageId::ALL[i]` is complete exactly when
+/// `i < done.len()`, and `done[i]` is its product.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub(crate) struct FlowState {
     pub(crate) input: Option<Netlist>,
-    pub(crate) validated: bool,
-    pub(crate) pre_layout_timing: Option<TimingReport>,
-    pub(crate) scanned: Option<Netlist>,
-    /// Snapshot of `scanned`; never encoded (a decode re-derives it).
-    pub(crate) scanned_compiled: Option<CompiledNetlist>,
-    pub(crate) scan: Option<ScanReport>,
-    pub(crate) atpg: Option<AtpgResult>,
-    pub(crate) layout: Option<LayoutResult>,
-    pub(crate) fix: Option<TimingFixOutcome>,
-    pub(crate) equivalence: Option<EquivReport>,
-    pub(crate) lvs: Option<LvsReport>,
-    pub(crate) gds: Option<Vec<u8>>,
+    pub(crate) done: Vec<StageOutput>,
+}
+
+impl FlowState {
+    fn input(&self, stage: StageId) -> Result<&Netlist, FlowError> {
+        self.input.as_ref().ok_or(FlowError::MissingInput { stage, what: "input netlist" })
+    }
+
+    /// The scanned netlist and its snapshot, committed together by Scan.
+    fn scanned(&self, stage: StageId) -> Result<(&Netlist, &CompiledNetlist), FlowError> {
+        match self.done.get(StageId::Scan.index()) {
+            Some(StageOutput::Scan { netlist, compiled, .. }) => Ok((netlist, compiled)),
+            _ => Err(FlowError::MissingInput { stage, what: "scanned netlist" }),
+        }
+    }
+
+    fn layout(&self, stage: StageId) -> Result<&LayoutResult, FlowError> {
+        match self.done.get(StageId::Layout.index()) {
+            Some(StageOutput::Layout(layout)) => Ok(layout),
+            _ => Err(FlowError::MissingInput { stage, what: "layout result" }),
+        }
+    }
+
+    fn fix(&self, stage: StageId) -> Result<&TimingFixOutcome, FlowError> {
+        match self.done.get(StageId::TimingFix.index()) {
+            Some(StageOutput::TimingFix(fix)) => Ok(fix),
+            _ => Err(FlowError::MissingInput { stage, what: "timing-fix outcome" }),
+        }
+    }
 }
 
 /// In-memory checkpoint of a (possibly partial) flow run: the products
@@ -447,25 +469,12 @@ impl FlowCheckpoint {
 
     /// Whether a stage's product is present.
     pub fn is_complete(&self, stage: StageId) -> bool {
-        let s = &self.state;
-        match stage {
-            StageId::Validate => s.validated,
-            StageId::PreSta => s.pre_layout_timing.is_some(),
-            StageId::Scan => {
-                s.scanned.is_some() && s.scanned_compiled.is_some() && s.scan.is_some()
-            }
-            StageId::Atpg => s.atpg.is_some(),
-            StageId::Layout => s.layout.is_some(),
-            StageId::TimingFix => s.fix.is_some(),
-            StageId::Equiv => s.equivalence.is_some(),
-            StageId::Lvs => s.lvs.is_some(),
-            StageId::StreamOut => s.gds.is_some(),
-        }
+        stage.index() < self.state.done.len()
     }
 
     /// Stages whose products are present, in execution order.
     pub fn completed_stages(&self) -> Vec<StageId> {
-        StageId::ALL.into_iter().filter(|&s| self.is_complete(s)).collect()
+        StageId::ALL[..self.state.done.len()].to_vec()
     }
 
     /// The supervision trace accumulated so far (spans resumes).
@@ -491,65 +500,46 @@ impl FlowCheckpoint {
     /// [`FlowError::MissingInput`] naming the first absent stage
     /// product if the flow has not actually finished.
     pub fn finish(&mut self) -> Result<FlowResult, FlowError> {
-        self.take_result()
-    }
-
-    fn commit(&mut self, stage: StageId, output: StageOutput) {
-        let s = &mut self.state;
-        match (stage, output) {
-            (StageId::Validate, StageOutput::Validated) => s.validated = true,
-            (StageId::PreSta, StageOutput::PreSta(t)) => s.pre_layout_timing = Some(t),
-            (StageId::Scan, StageOutput::Scan { netlist, compiled, report }) => {
-                s.scanned = Some(netlist);
-                s.scanned_compiled = Some(compiled);
-                s.scan = Some(report);
-            }
-            (StageId::Atpg, StageOutput::Atpg(r)) => s.atpg = Some(r),
-            (StageId::Layout, StageOutput::Layout(l)) => s.layout = Some(l),
-            (StageId::TimingFix, StageOutput::TimingFix(fx)) => s.fix = Some(fx),
-            (StageId::Equiv, StageOutput::Equiv(r)) => s.equivalence = Some(r),
-            (StageId::Lvs, StageOutput::Lvs(r)) => s.lvs = Some(r),
-            (StageId::StreamOut, StageOutput::StreamOut(g)) => s.gds = Some(g),
-            // execute_stage returns the matching variant for its stage
-            _ => unreachable!("stage/output mismatch"),
+        if let Some(&stage) = StageId::ALL.get(self.state.done.len()) {
+            // nothing is taken: the checkpoint can still be resumed
+            return Err(FlowError::MissingInput { stage, what: "stage product" });
         }
-    }
-
-    fn take_result(&mut self) -> Result<FlowResult, FlowError> {
-        fn take<T>(
-            slot: &mut Option<T>,
-            stage: StageId,
-            what: &'static str,
-        ) -> Result<T, FlowError> {
-            slot.take().ok_or(FlowError::MissingInput { stage, what })
-        }
-        let s = &mut self.state;
-        let fix = take(&mut s.fix, StageId::TimingFix, "timing-fix outcome")?;
-        let result = FlowResult {
-            pre_layout_timing: take(
-                &mut s.pre_layout_timing,
-                StageId::PreSta,
-                "pre-layout timing",
-            )?,
-            scan: take(&mut s.scan, StageId::Scan, "scan report")?,
-            atpg: take(&mut s.atpg, StageId::Atpg, "atpg result")?,
-            layout: take(&mut s.layout, StageId::Layout, "layout result")?,
+        let Ok(
+            [
+                StageOutput::Validated,
+                StageOutput::PreSta(pre_layout_timing),
+                StageOutput::Scan { report: scan, .. },
+                StageOutput::Atpg(atpg),
+                StageOutput::Layout(layout),
+                StageOutput::TimingFix(fix),
+                StageOutput::Equiv(equivalence),
+                StageOutput::Lvs(lvs),
+                StageOutput::StreamOut(gds),
+            ],
+        ) = <[StageOutput; 9]>::try_from(std::mem::take(&mut self.state.done))
+        else {
+            unreachable!("one product per stage, committed in stage order");
+        };
+        // fully spend the checkpoint: retaining the input would let a
+        // second resume silently re-run the flow from scratch
+        self.state.input = None;
+        Ok(FlowResult {
+            pre_layout_timing,
+            scan,
+            atpg,
+            layout,
             signoff_timing: fix.signoff_timing,
             corner_signoff: fix.corner_signoff,
             timing_ecos: fix.timing_ecos,
             sta_incremental_evals: fix.sta_incremental_evals,
             sta_full_evals: fix.sta_full_evals,
-            equivalence: take(&mut s.equivalence, StageId::Equiv, "equivalence report")?,
-            lvs: take(&mut s.lvs, StageId::Lvs, "lvs report")?,
-            gds: take(&mut s.gds, StageId::StreamOut, "gds stream")?,
+            equivalence,
+            lvs,
+            gds,
             netlist: fix.netlist,
             trace: std::mem::take(&mut self.trace),
             compile_stats: std::mem::take(&mut self.compile_stats),
-        };
-        // fully spend the checkpoint: retaining the input would let a
-        // second resume silently re-run the flow from scratch
-        self.state = FlowState::default();
-        Ok(result)
+        })
     }
 }
 
@@ -670,7 +660,7 @@ impl FlowSupervisor {
             checkpoint.trace.resumed = true;
         }
         while self.advance(checkpoint)?.is_some() {}
-        checkpoint.take_result()
+        checkpoint.finish()
     }
 
     /// Run exactly one stage: the first whose product the checkpoint is
@@ -691,14 +681,11 @@ impl FlowSupervisor {
         &self,
         checkpoint: &mut FlowCheckpoint,
     ) -> Result<Option<StageId>, FlowError> {
-        for stage in StageId::ALL {
-            if checkpoint.is_complete(stage) {
-                continue;
-            }
-            self.run_stage(stage, checkpoint)?;
-            return Ok(Some(stage));
-        }
-        Ok(None)
+        let Some(&stage) = StageId::ALL.get(checkpoint.state.done.len()) else {
+            return Ok(None);
+        };
+        self.run_stage(stage, checkpoint)?;
+        Ok(Some(stage))
     }
 
     fn run_stage(
@@ -732,7 +719,7 @@ impl FlowSupervisor {
                 Ok(output) => match check_gates(&output, &self.gates) {
                     Ok(()) => {
                         record(AttemptOutcome::Success);
-                        checkpoint.commit(stage, output);
+                        checkpoint.state.done.push(output);
                         checkpoint
                             .compile_stats
                             .record(stage, compiles_on_this_thread() - compiles_before);
@@ -823,25 +810,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-fn require<'a, T>(
-    slot: &'a Option<T>,
-    stage: StageId,
-    what: &'static str,
-) -> Result<&'a T, FlowError> {
-    slot.as_ref().ok_or(FlowError::MissingInput { stage, what })
-}
-
-/// The scanned netlist and its snapshot, committed together by Scan.
-fn require_scanned(
-    state: &FlowState,
-    stage: StageId,
-) -> Result<(&Netlist, &CompiledNetlist), FlowError> {
-    Ok((
-        require(&state.scanned, stage, "scanned netlist")?,
-        require(&state.scanned_compiled, stage, "scanned snapshot")?,
-    ))
 }
 
 /// Human-readable knob changes an effort level applies (empty at the
@@ -1019,29 +987,29 @@ fn execute_stage(
         Constraints::single_clock(&options.clock_port, options.clock_period_ns);
     match stage {
         StageId::Validate => {
-            require(&state.input, stage, "input netlist")?.validate()?;
+            state.input(stage)?.validate()?;
             Ok(StageOutput::Validated)
         }
         StageId::PreSta => {
-            let nl = require(&state.input, stage, "input netlist")?;
+            let nl = state.input(stage)?;
             let report =
                 sta_with_hier(Sta::new(nl, &options.tech, constraints), hier).analyze()?;
             Ok(StageOutput::PreSta(report))
         }
         StageId::Scan => {
-            let nl = require(&state.input, stage, "input netlist")?;
+            let nl = state.input(stage)?;
             let (scanned, report) = insert_scan(nl.clone(), &options.scan)?;
             let compiled = scanned.compile()?;
             Ok(StageOutput::Scan { netlist: scanned, compiled, report })
         }
         StageId::Atpg => {
-            let (scanned, compiled) = require_scanned(state, stage)?;
+            let (scanned, compiled) = state.scanned(stage)?;
             let result =
                 Atpg::with_compiled(scanned, compiled, atpg_config(options, effort)).run();
             Ok(StageOutput::Atpg(result))
         }
         StageId::Layout => {
-            let (scanned, compiled) = require_scanned(state, stage)?;
+            let (scanned, compiled) = state.scanned(stage)?;
             let result = implement_with(
                 scanned,
                 compiled,
@@ -1053,14 +1021,14 @@ fn execute_stage(
             Ok(StageOutput::Layout(result))
         }
         StageId::TimingFix => {
-            let (scanned, compiled) = require_scanned(state, stage)?;
-            let layout = require(&state.layout, stage, "layout result")?;
+            let (scanned, compiled) = state.scanned(stage)?;
+            let layout = state.layout(stage)?;
             let outcome = stage_timing_fix(scanned, compiled, layout, options, effort, hier)?;
             Ok(StageOutput::TimingFix(outcome))
         }
         StageId::Equiv => {
-            let (scanned, compiled) = require_scanned(state, stage)?;
-            let fix = require(&state.fix, stage, "timing-fix outcome")?;
+            let (scanned, compiled) = state.scanned(stage)?;
+            let fix = state.fix(stage)?;
             let report = check_models(
                 &CombModel::with_compiled(scanned, compiled),
                 &CombModel::with_compiled(&fix.netlist, &fix.compiled),
@@ -1072,12 +1040,12 @@ fn execute_stage(
             // final netlist vs the "extracted" database (identity here —
             // extraction corruption is exercised in the LVS crate's own
             // tests)
-            let fix = require(&state.fix, stage, "timing-fix outcome")?;
+            let fix = state.fix(stage)?;
             Ok(StageOutput::Lvs(lvs_compare(&fix.netlist, &fix.netlist)))
         }
         StageId::StreamOut => {
-            let fix = require(&state.fix, stage, "timing-fix outcome")?;
-            let layout = require(&state.layout, stage, "layout result")?;
+            let fix = state.fix(stage)?;
+            let layout = state.layout(stage)?;
             Ok(StageOutput::StreamOut(stream_out(&fix.netlist, layout)))
         }
     }

@@ -25,6 +25,13 @@
 //! [`FlowResult`](crate::flow::FlowResult) fingerprints match an
 //! uninterrupted run for a kill after every one of the nine stages.
 //!
+//! A checkpoint holds the input netlist, then the count of completed
+//! stages, then each completed stage's product in [`StageId::ALL`]
+//! order, then the supervision trace. Stages complete strictly in that
+//! order, so the count alone says which stages are done; a count above
+//! the number of stages is [`CodecError::Corrupt`] before anything is
+//! allocated.
+//!
 //! Compiled netlist snapshots are never encoded: decode re-derives the
 //! scanned and final netlists' snapshots by compiling them (a netlist
 //! that does not compile is [`CodecError::Corrupt`]). A fresh compile
@@ -45,7 +52,7 @@ use camsoc_netlist::codec::{Codec, CodecError, Decoder, Encoder};
 use camsoc_netlist::compiled::CompiledNetlist;
 use camsoc_netlist::graph::Netlist;
 
-use crate::flow::{FlowCheckpoint, FlowOptions, FlowState, TimingFixOutcome};
+use crate::flow::{FlowCheckpoint, FlowOptions, FlowState, StageOutput, TimingFixOutcome};
 use crate::resilience::{AttemptOutcome, FlowTrace, StageAttempt, StageId};
 
 /// First four bytes of every checkpoint file: `"CKPT"` little-endian.
@@ -54,8 +61,10 @@ pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"CKPT");
 /// The only checkpoint format this build reads and writes. Version 2
 /// added [`RouteConfig::capacity_scale`](camsoc_layout::route::RouteConfig)
 /// to the embedded flow options; version 3 dropped their fault-simulation
-/// and equivalence engine tags, since each kernel has one engine.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// and equivalence engine tags, since each kernel has one engine;
+/// version 4 stores the completed stages' products as one counted list
+/// in stage order instead of one tagged slot per product.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// A checkpoint load failure: the file was unreadable or its bytes
 /// don't decode.
@@ -231,49 +240,60 @@ impl Codec for TimingFixOutcome {
     }
 }
 
+/// The products are written in stage order without tags: the count of
+/// completed stages says which stage each one belongs to.
 impl Codec for FlowState {
     fn encode(&self, e: &mut Encoder) {
         self.input.encode(e);
-        e.put_bool(self.validated);
-        self.pre_layout_timing.encode(e);
-        self.scanned.encode(e);
-        self.scan.encode(e);
-        self.atpg.encode(e);
-        self.layout.encode(e);
-        self.fix.encode(e);
-        self.equivalence.encode(e);
-        self.lvs.encode(e);
-        match &self.gds {
-            None => e.put_u8(0),
-            Some(g) => {
-                e.put_u8(1);
-                e.put_bytes(g);
+        e.put_usize(self.done.len());
+        for output in &self.done {
+            match output {
+                StageOutput::Validated => {}
+                StageOutput::PreSta(report) => report.encode(e),
+                StageOutput::Scan { netlist, report, .. } => {
+                    netlist.encode(e);
+                    report.encode(e);
+                }
+                StageOutput::Atpg(result) => result.encode(e),
+                StageOutput::Layout(result) => result.encode(e),
+                StageOutput::TimingFix(fix) => fix.encode(e),
+                StageOutput::Equiv(report) => report.encode(e),
+                StageOutput::Lvs(report) => report.encode(e),
+                StageOutput::StreamOut(gds) => e.put_bytes(gds),
             }
         }
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let mut state = FlowState {
-            input: Codec::decode(d)?,
-            validated: d.get_bool()?,
-            pre_layout_timing: Codec::decode(d)?,
-            scanned: Codec::decode(d)?,
-            scanned_compiled: None,
-            scan: Codec::decode(d)?,
-            atpg: Codec::decode(d)?,
-            layout: Codec::decode(d)?,
-            fix: Codec::decode(d)?,
-            equivalence: Codec::decode(d)?,
-            lvs: Codec::decode(d)?,
-            gds: match d.get_u8()? {
-                0 => None,
-                1 => Some(d.get_bytes()?),
-                t => Err(CodecError::Corrupt(format!("gds option tag {t:#04x}")))?,
-            },
+        let input = Codec::decode(d)?;
+        let count = d.get_usize()?;
+        let Some(stages) = StageId::ALL.get(..count) else {
+            return Err(CodecError::Corrupt(format!(
+                "{count} completed stages, the flow has {}",
+                StageId::ALL.len()
+            )));
         };
-        state.scanned_compiled =
-            state.scanned.as_ref().map(|nl| snapshot_of(nl, "scanned")).transpose()?;
-        Ok(state)
+        let done = stages.iter().map(|&stage| decode_output(stage, d)).collect::<Result<_, _>>()?;
+        Ok(FlowState { input, done })
     }
+}
+
+/// Decode the product of `stage`, re-deriving the scanned snapshot.
+fn decode_output(stage: StageId, d: &mut Decoder<'_>) -> Result<StageOutput, CodecError> {
+    Ok(match stage {
+        StageId::Validate => StageOutput::Validated,
+        StageId::PreSta => StageOutput::PreSta(Codec::decode(d)?),
+        StageId::Scan => {
+            let netlist = Netlist::decode(d)?;
+            let report = Codec::decode(d)?;
+            StageOutput::Scan { compiled: snapshot_of(&netlist, "scanned")?, netlist, report }
+        }
+        StageId::Atpg => StageOutput::Atpg(Codec::decode(d)?),
+        StageId::Layout => StageOutput::Layout(Codec::decode(d)?),
+        StageId::TimingFix => StageOutput::TimingFix(Codec::decode(d)?),
+        StageId::Equiv => StageOutput::Equiv(Codec::decode(d)?),
+        StageId::Lvs => StageOutput::Lvs(Codec::decode(d)?),
+        StageId::StreamOut => StageOutput::StreamOut(d.get_bytes()?),
+    })
 }
 
 impl Codec for FlowCheckpoint {
@@ -408,12 +428,15 @@ mod tests {
             FlowCheckpoint::from_bytes(&bytes),
             Err(CodecError::Corrupt(_))
         ));
-        let mut bytes = ckpt.to_bytes();
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            FlowCheckpoint::from_bytes(&bytes),
-            Err(CodecError::Version { found: 99, supported: CHECKPOINT_VERSION })
-        ));
+        // the previous format (one tagged slot per product) and a future one
+        for version in [CHECKPOINT_VERSION - 1, 99] {
+            let mut bytes = ckpt.to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                FlowCheckpoint::from_bytes(&bytes),
+                Err(CodecError::Version { found, supported: CHECKPOINT_VERSION }) if found == version
+            ));
+        }
         // trailing garbage is rejected too
         let mut bytes = ckpt.to_bytes();
         bytes.push(0);
@@ -451,46 +474,55 @@ mod tests {
         nl
     }
 
+    /// `ckpt` with the netlist of its last product, the scanned or the
+    /// final one, swapped for [`ring`]: the product keeps the snapshot of
+    /// the design it was built from.
+    fn with_ring(mut ckpt: FlowCheckpoint) -> FlowCheckpoint {
+        match ckpt.state.done.last_mut() {
+            Some(StageOutput::Scan { netlist, .. }) => *netlist = ring(),
+            Some(StageOutput::TimingFix(fix)) => fix.netlist = ring(),
+            other => panic!("last product is not a netlist: {other:?}"),
+        }
+        ckpt
+    }
+
     #[test]
     fn decoding_a_netlist_with_a_loop_is_a_typed_error() {
-        // snapshots are not encoded, so either state encodes without one
-        let scanned = FlowCheckpoint {
-            state: FlowState { scanned: Some(ring()), ..FlowState::default() },
-            ..FlowCheckpoint::default()
-        };
-        // the final netlist's slot carries a real outcome of another design
-        use camsoc_par::Parallelism;
-        use camsoc_sta::{multi_corner, Constraints, Corner, Sta};
-        let good = block(6);
-        let tech = camsoc_netlist::tech::Technology::default();
-        let sta = Sta::new(&good, &tech, Constraints::single_clock("clk", 7.5));
-        let fix = FlowCheckpoint {
-            state: FlowState {
-                fix: Some(TimingFixOutcome {
-                    netlist: ring(),
-                    compiled: good.compile().unwrap(),
-                    signoff_timing: sta.analyze().unwrap(),
-                    corner_signoff: multi_corner::signoff(
-                        &sta,
-                        Corner::worst(),
-                        Corner::best(),
-                        Parallelism::Serial,
-                    )
-                    .unwrap(),
-                    timing_ecos: 0,
-                    sta_incremental_evals: 0,
-                    sta_full_evals: 0,
-                }),
-                ..FlowState::default()
-            },
-            ..FlowCheckpoint::default()
-        };
+        // snapshots are not encoded, so either prefix state encodes
+        // without trouble and fails on decode
+        let supervisor = FlowSupervisor::new(FlowOptions::default());
+        let mut ckpt = FlowCheckpoint::new(block(6));
+        while ckpt.state.done.len() <= StageId::Scan.index() {
+            supervisor.advance(&mut ckpt).unwrap();
+        }
+        let scanned = with_ring(ckpt.clone());
+        while ckpt.state.done.len() <= StageId::TimingFix.index() {
+            supervisor.advance(&mut ckpt).unwrap();
+        }
+        let fix = with_ring(ckpt);
         for (ckpt, what) in [(scanned, "scanned"), (fix, "final")] {
             match FlowCheckpoint::from_bytes(&ckpt.to_bytes()) {
                 Err(CodecError::Corrupt(m)) => {
                     assert!(m.contains(&format!("{what} netlist does not compile")), "{m}")
                 }
                 other => panic!("{what}: expected a corrupt-checkpoint error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_stage_count_above_the_flow_is_refused_before_allocating() {
+        // magic, version, absent input (one tag byte), then the count
+        let count_at = 4 + 4 + 1;
+        let good = FlowCheckpoint::default().to_bytes();
+        assert_eq!(good[count_at..count_at + 8], 0u64.to_le_bytes());
+        // an allocation sized by u64::MAX would abort the process
+        for count in [StageId::ALL.len() as u64 + 1, u64::MAX] {
+            let mut bytes = good.clone();
+            bytes[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+            match FlowCheckpoint::from_bytes(&bytes) {
+                Err(CodecError::Corrupt(m)) => assert!(m.contains("completed stages"), "{m}"),
+                other => panic!("count {count}: expected a corrupt-checkpoint error, got {other:?}"),
             }
         }
     }

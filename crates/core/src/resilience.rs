@@ -105,13 +105,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// No retries: every failure is final. Gate checks still run.
-    pub fn fail_fast() -> Self {
-        RetryPolicy { max_attempts: 1, max_effort: 0 }
-    }
-}
-
 /// Job-level failure containment, one layer above [`RetryPolicy`].
 ///
 /// `RetryPolicy` bounds attempts *within* one stage of one run; a

@@ -331,14 +331,12 @@ impl Codec for ImplementOptions {
         self.placement.encode(e);
         self.routing.encode(e);
         e.put_str(&self.clock_port);
-        self.max_overflow.encode(e);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(ImplementOptions {
             placement: PlacementConfig::decode(d)?,
             routing: RouteConfig::decode(d)?,
             clock_port: d.get_str()?,
-            max_overflow: Option::<u64>::decode(d)?,
         })
     }
 }

@@ -69,13 +69,6 @@ pub struct ImplementOptions {
     pub routing: route::RouteConfig,
     /// Clock port name for CTS (must match a constraint clock).
     pub clock_port: String,
-    /// Hard-fail ceiling on residual routing overflow (tracks): when
-    /// set and the final [`route::RouteResult::total_overflow`] exceeds
-    /// it, [`implement`] returns [`LayoutError::Routing`] instead of
-    /// handing the congested result to sign-off. `None` (the default)
-    /// keeps the historical report-only behaviour — callers such as the
-    /// flow supervisor gate on the overflow figures themselves.
-    pub max_overflow: Option<u64>,
 }
 
 impl Default for ImplementOptions {
@@ -84,7 +77,6 @@ impl Default for ImplementOptions {
             placement: place::PlacementConfig::default(),
             routing: route::RouteConfig::default(),
             clock_port: "clk".to_string(),
-            max_overflow: None,
         }
     }
 }
@@ -131,8 +123,9 @@ pub enum LayoutError {
     Floorplan(String),
     /// Timing analysis failed.
     Sta(camsoc_sta::StaError),
-    /// Routing left more overflow than the caller's hard ceiling
-    /// ([`ImplementOptions::max_overflow`]) allows.
+    /// Routing left more overflow than the caller's quality gate
+    /// allows (the back end itself reports overflow and never fails on
+    /// it; the flow supervisor's routing gate builds this error).
     Routing {
         /// Residual overflow in tracks (Σ max(0, usage − capacity)).
         total_overflow: u64,
@@ -169,8 +162,8 @@ impl From<camsoc_sta::StaError> for LayoutError {
 /// # Errors
 ///
 /// [`LayoutError`] if the netlist does not compile (a combinational
-/// cycle), floorplanning or timing analysis fails, or residual routing
-/// overflow exceeds [`ImplementOptions::max_overflow`].
+/// cycle), or floorplanning or timing analysis fails. Residual routing
+/// overflow is reported in the result, never an error here.
 pub fn implement(
     nl: &Netlist,
     tech: &Technology,
@@ -220,14 +213,6 @@ pub fn implement_with(
     );
     let clock_tree = cts::synthesize(nl, tech, &floorplan, &placement, &options.clock_port);
     let routing = route::route(nl, &floorplan, &placement, &options.routing);
-    if let Some(cap) = options.max_overflow {
-        if routing.total_overflow > cap {
-            return Err(LayoutError::Routing {
-                total_overflow: routing.total_overflow,
-                unrouted: routing.unrouted_nets,
-            });
-        }
-    }
     let wire_delays_ns = extract::wire_delays(nl, tech, &routing);
     let drc = drc::check(nl, &floorplan, &placement, &routing);
     let mut sta = Sta::new(nl, tech, constraints.clone())

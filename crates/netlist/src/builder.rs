@@ -37,7 +37,6 @@ pub struct NetlistBuilder {
     nl: Netlist,
     counter: usize,
     block: String,
-    default_drive: Drive,
 }
 
 impl NetlistBuilder {
@@ -47,7 +46,6 @@ impl NetlistBuilder {
             nl: Netlist::new(name),
             counter: 0,
             block: "top".to_string(),
-            default_drive: Drive::X1,
         }
     }
 
@@ -55,17 +53,12 @@ impl NetlistBuilder {
     /// add glue after absorbing IP blocks).
     pub fn from_netlist(nl: Netlist) -> Self {
         let counter = nl.num_nets() + nl.num_instances();
-        NetlistBuilder { nl, counter, block: "top".to_string(), default_drive: Drive::X1 }
+        NetlistBuilder { nl, counter, block: "top".to_string() }
     }
 
     /// Set the block tag applied to subsequently created instances.
     pub fn set_block(&mut self, block: impl Into<String>) {
         self.block = block.into();
-    }
-
-    /// Set the drive used by `gate_auto`/`gate` convenience methods.
-    pub fn set_default_drive(&mut self, drive: Drive) {
-        self.default_drive = drive;
     }
 
     fn unique(&mut self, stem: &str) -> String {
@@ -132,20 +125,20 @@ impl NetlistBuilder {
         out
     }
 
-    /// Add an auto-named gate at the default drive; returns the output net.
+    /// Add an auto-named gate at drive X1; returns the output net.
     pub fn gate_auto(&mut self, function: CellFunction, inputs: &[NetId]) -> NetId {
         let name = self.unique(&format!("u_{}", function.name().to_lowercase()));
-        let drive = self.default_drive;
-        self.gate(function, drive, &name, inputs)
+        self.gate(function, Drive::X1, &name, inputs)
     }
 
-    /// Add an auto-named gate whose output is the given pre-created net.
+    /// Add an auto-named gate at drive X1 whose output is the given
+    /// pre-created net.
     pub fn gate_into(&mut self, function: CellFunction, inputs: &[NetId], out: NetId) {
         let name = self.unique(&format!("u_{}", function.name().to_lowercase()));
         self.nl
             .add_instance(
                 name,
-                Cell::new(function, self.default_drive),
+                Cell::new(function, Drive::X1),
                 inputs,
                 out,
                 None,

@@ -4,7 +4,15 @@
 //! threads, each running its own [`FlowSupervisor`] one stage at a
 //! time. After every completed stage the job's [`FlowCheckpoint`] is
 //! rewritten atomically, so killing the process at ANY instant loses at
-//! most the stage currently in flight.
+//! most the stage currently in flight. The checkpoint is the only record
+//! of a completed stage: the stage-boundary heartbeat reads the ledger
+//! under its lock, and writes it only to preempt the job.
+//!
+//! The crash model is kill-safety, not power-loss durability: every
+//! file is replaced by write-temp-then-rename, so a process killed at
+//! any instant (`kill -9` included) leaves each file whole, old or new.
+//! Nothing is `fsync`ed, so nothing is promised after a power loss or
+//! an operating-system crash.
 //!
 //! Unlike its first incarnation, the farm does **not** own its
 //! directory: any number of farms (threads or whole processes) may
@@ -30,10 +38,10 @@
 //!
 //! Failures are contained per job. A panic anywhere in a job's driver
 //! is caught at the worker loop and booked against that job; transient
-//! failures requeue with deterministic attempt-counted backoff
-//! ([`QuarantinePolicy`]) and land in the terminal `quarantined` state
-//! once the budget is spent — a poison job can never wedge the queue,
-//! poison a shared mutex, or take a worker down.
+//! failures requeue with deterministic attempt-counted backoff (the
+//! default [`QuarantinePolicy`]) and land in the terminal `quarantined`
+//! state once the budget is spent — a poison job can never wedge the
+//! queue, poison a shared mutex, or take a worker down.
 //!
 //! The `stage_budget` knob bounds how many stages the farm as a whole
 //! may execute before workers abandon their jobs *without* touching
@@ -211,7 +219,6 @@ pub struct Farm {
     lease: OwnerLease,
     workers: usize,
     stage_budget: Option<usize>,
-    quarantine: QuarantinePolicy,
     retention: RetentionPolicy,
     gds_export: bool,
     /// job → claim tick at which it becomes backoff-eligible again.
@@ -256,8 +263,7 @@ impl Farm {
                 .collect();
             let n = stale.len();
             for (id, mut e) in stale {
-                e.detail =
-                    format!("reclaimed from stale lease of {} at beat {}", e.owner, e.beat);
+                e.detail = format!("reclaimed from stale lease of {}", e.owner);
                 e.state = JobState::Queued;
                 e.owner.clear();
                 t.set(id, e);
@@ -270,7 +276,6 @@ impl Farm {
             lease,
             workers: workers.max(1),
             stage_budget: None,
-            quarantine: QuarantinePolicy::default(),
             retention: RetentionPolicy::default(),
             gds_export: false,
             backoff: BTreeMap::new(),
@@ -286,13 +291,6 @@ impl Farm {
     #[must_use]
     pub fn with_stage_budget(mut self, stages: usize) -> Self {
         self.stage_budget = Some(stages);
-        self
-    }
-
-    /// Replace the default [`QuarantinePolicy`].
-    #[must_use]
-    pub fn with_quarantine(mut self, policy: QuarantinePolicy) -> Self {
-        self.quarantine = policy;
         self
     }
 
@@ -416,30 +414,8 @@ impl Farm {
     /// poison the farm.
     pub fn run_until_idle(&mut self) -> Result<FarmReport, FarmError> {
         self.ledger.refresh()?;
-        let ready = self.queued();
-        let shared = Shared {
-            dir: self.store.dir().to_path_buf(),
-            store: &self.store,
-            owner: self.lease.owner().to_string(),
-            workers: self.workers,
-            quarantine: self.quarantine,
-            gds_export: self.gds_export,
-            ledger: Mutex::new(&mut self.ledger),
-            backoff: Mutex::new(&mut self.backoff),
-            claim_tick: &self.claim_tick,
-            outcomes: Mutex::new(BTreeMap::new()),
-            busy: AtomicUsize::new(0),
-            stages_left: self
-                .stage_budget
-                .map(|n| AtomicIsize::new(isize::try_from(n).unwrap_or(isize::MAX))),
-            stages_executed: AtomicUsize::new(0),
-            preemptions: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
-            quarantines: AtomicUsize::new(0),
-            reclaimed: AtomicUsize::new(0),
-            farm_error: Mutex::new(None),
-        };
-        let spawn = self.workers.min(ready.max(1));
+        let spawn = self.workers.min(self.queued().max(1));
+        let shared = self.shared();
         std::thread::scope(|scope| {
             for _ in 0..spawn {
                 scope.spawn(|| worker(&shared));
@@ -497,6 +473,31 @@ impl Farm {
         }
     }
 
+    /// The state the workers of one [`Farm::run_until_idle`] call share.
+    fn shared(&mut self) -> Shared<'_> {
+        Shared {
+            dir: self.store.dir().to_path_buf(),
+            store: &self.store,
+            owner: self.lease.owner().to_string(),
+            workers: self.workers,
+            gds_export: self.gds_export,
+            ledger: Mutex::new(&mut self.ledger),
+            backoff: Mutex::new(&mut self.backoff),
+            claim_tick: &self.claim_tick,
+            outcomes: Mutex::new(BTreeMap::new()),
+            busy: AtomicUsize::new(0),
+            stages_left: self
+                .stage_budget
+                .map(|n| AtomicIsize::new(isize::try_from(n).unwrap_or(isize::MAX))),
+            stages_executed: AtomicUsize::new(0),
+            preemptions: AtomicUsize::new(0),
+            retries: AtomicUsize::new(0),
+            quarantines: AtomicUsize::new(0),
+            reclaimed: AtomicUsize::new(0),
+            farm_error: Mutex::new(None),
+        }
+    }
+
     /// Apply the retention policy now: for `done` and `failed` jobs
     /// beyond the keep-last-K window (by id), remove request,
     /// checkpoint, and exported GDS. Quarantined evidence and ledger
@@ -546,7 +547,6 @@ struct Shared<'a> {
     store: &'a CheckpointStore,
     owner: String,
     workers: usize,
-    quarantine: QuarantinePolicy,
     gds_export: bool,
     ledger: Mutex<&'a mut JobLedger>,
     backoff: Mutex<&'a mut BTreeMap<JobId, u64>>,
@@ -616,16 +616,12 @@ impl Shared<'_> {
             let mut entry = t.get(job).cloned().expect("picked job has an entry");
             if stale.contains(&job) {
                 self.reclaimed.fetch_add(1, Ordering::Relaxed);
-                entry.detail = format!(
-                    "reclaimed from stale lease of {} at beat {}",
-                    entry.owner, entry.beat
-                );
+                entry.detail = format!("reclaimed from stale lease of {}", entry.owner);
             } else {
                 entry.detail.clear();
             }
             entry.state = JobState::Running;
             entry.owner = self.owner.clone();
-            entry.beat += 1;
             let claim = Claim { job, priority: entry.priority, attempts: entry.attempts };
             t.set(job, entry);
             Some(claim)
@@ -636,8 +632,8 @@ impl Shared<'_> {
         Ok(claim)
     }
 
-    /// One locked transition of `job`'s entry (used for settlement and
-    /// heartbeats). The closure sees the fresh snapshot's entry.
+    /// One locked transition of `job`'s entry (used for settlement).
+    /// The closure sees the fresh snapshot's entry.
     fn transition(
         &self,
         job: JobId,
@@ -656,11 +652,14 @@ impl Shared<'_> {
             .map_err(|e| JobError::Storage { job, detail: e.to_string() })
     }
 
-    /// Renew the lease after a completed stage, and decide whether this
-    /// job must yield. Preemption fires only when a strictly
-    /// higher-priority job is waiting, every worker is busy, and this
-    /// job is the designated victim (lowest priority among this farm's
-    /// running jobs; highest id tie-breaks).
+    /// Check the lease after a completed stage, and decide whether this
+    /// job must yield: a locked read of the ledger that writes only to
+    /// preempt (the lease needs no renewal, since the owner lock proves
+    /// it alive, and the stage itself is recorded in the checkpoint).
+    /// Preemption fires only when a strictly higher-priority job is
+    /// waiting, every worker is busy, and this job is the designated
+    /// victim (lowest priority among this farm's running jobs; highest
+    /// id tie-breaks).
     fn heartbeat(&self, claim: Claim) -> Result<Heartbeat, JobError> {
         let busy = self.busy.load(Ordering::Acquire);
         let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
@@ -694,9 +693,6 @@ impl Shared<'_> {
                         return Heartbeat::Preempted;
                     }
                 }
-                let mut entry = t.get(claim.job).cloned().expect("checked above");
-                entry.beat += 1;
-                t.set(claim.job, entry);
                 Heartbeat::Continue
             })
             .map_err(|e| JobError::Storage { job: claim.job, detail: e.to_string() })
@@ -714,7 +710,7 @@ impl Shared<'_> {
 
 /// Verdict of a stage-boundary heartbeat.
 enum Heartbeat {
-    /// Lease renewed; keep driving.
+    /// Lease still ours; keep driving.
     Continue,
     /// This job was parked as `preempted`; the worker should go claim
     /// the higher-priority work.
@@ -808,7 +804,7 @@ fn worker(shared: &Shared<'_>) {
 /// quarantine past the budget, or fail outright — per the policy.
 fn settle_failure(shared: &Shared<'_>, claim: Claim, error: JobError) {
     let failures = claim.attempts.saturating_add(1);
-    match shared.quarantine.disposition(failures, error.is_retryable()) {
+    match QuarantinePolicy::default().disposition(failures, error.is_retryable()) {
         FailureDisposition::Retry { backoff_slots } => {
             let detail = format!("retry {failures} after: {error}");
             match shared.transition(claim.job, |e| {
@@ -954,5 +950,54 @@ fn drive(shared: &Shared<'_>, claim: Claim) -> Drive {
                 return Drive::Failed(JobError::Flow { job, error });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::DesignSpec;
+    use camsoc_core::flow::FlowOptions;
+    use std::os::unix::fs::MetadataExt;
+
+    fn request(priority: Priority) -> JobRequest {
+        let spec = DesignSpec::IpBlock { name: "beat".into(), target_gates: 200, seed: 1 };
+        JobRequest::new(spec, FlowOptions::default()).with_priority(priority)
+    }
+
+    /// The ledger file's bytes and inode: an atomic rewrite renames a
+    /// new file into place, so even a byte-identical rewrite shows.
+    fn ledger_image(dir: &Path) -> (Vec<u8>, u64) {
+        let path = dir.join(LEDGER_FILE);
+        (std::fs::read(&path).unwrap(), std::fs::metadata(&path).unwrap().ino())
+    }
+
+    #[test]
+    fn a_heartbeat_that_does_not_preempt_leaves_the_ledger_unwritten() {
+        let dir = std::env::temp_dir().join(format!("camsoc-farm-beat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut farm = Farm::open(&dir, 1).unwrap();
+        let low = farm.submit(&request(Priority::Low)).unwrap();
+        let shared = farm.shared();
+        let claim = shared.claim().unwrap().expect("one job is queued");
+        assert_eq!(claim.job, low);
+        shared.busy.store(1, Ordering::Release);
+
+        // nothing waits above the job: the lease is checked, not renewed
+        let claimed = ledger_image(&dir);
+        assert!(matches!(shared.heartbeat(claim), Ok(Heartbeat::Continue)));
+        assert_eq!(ledger_image(&dir), claimed, "a non-preempting heartbeat wrote the ledger");
+
+        // critical work arrives through another farm while the only
+        // worker is busy: the next heartbeat parks the job, and says so
+        let critical = Farm::open(&dir, 1).unwrap().submit(&request(Priority::Critical)).unwrap();
+        assert!(matches!(shared.heartbeat(claim), Ok(Heartbeat::Preempted)));
+        let ledger = JobLedger::open(dir.join(LEDGER_FILE)).unwrap();
+        let entry = ledger.entry(low).unwrap();
+        assert_eq!(entry.state, JobState::Preempted);
+        assert_eq!(entry.owner, "");
+        assert_eq!(entry.detail, format!("preempted by {critical}"));
+        drop(shared);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

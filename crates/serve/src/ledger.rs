@@ -2,26 +2,33 @@
 //!
 //! A small, human-readable, versioned text file recording the last
 //! known [`JobState`] of every job a farm directory has ever accepted —
-//! plus the job's lease (owner id + monotonically renewed heartbeat
-//! stamp), scheduling priority, and transient-failure count.
-//! Every transition rewrites the whole file atomically
-//! (write-temp-then-rename), so the ledger on disk is always a
-//! complete snapshot.
+//! plus the job's lease owner, scheduling priority, and
+//! transient-failure count. It records transitions only: a job's
+//! progress through the flow lives in its checkpoint, and the owner's
+//! advisory lock proves the lease alive, so a completed stage that does
+//! not change the job's state writes nothing here. Every transition
+//! rewrites the whole file atomically (write-temp-then-rename), so the
+//! ledger on disk is always a complete snapshot.
 //!
 //! Because two farms (threads or processes) may share one directory,
 //! every read-modify-write goes through [`JobLedger::update`]: acquire
 //! the sibling advisory file lock, reload the file, run the caller's
-//! transaction on the fresh snapshot, rewrite atomically, release. The
-//! in-memory map is only a mirror of the last transaction's view.
+//! transaction on the fresh snapshot, rewrite atomically if it changed
+//! anything, release. The in-memory map is only a mirror of the last
+//! transaction's view.
 //!
 //! Format (tab-separated, one job per line, sorted by id; `-`
-//! encodes an empty owner/detail column):
+//! encodes an empty owner/detail column; the columns are id, state,
+//! priority, owner, attempts and detail):
 //!
 //! ```text
-//! camsoc-ledger v2
-//! 0<TAB>done<TAB>normal<TAB>-<TAB>14<TAB>0<TAB>-
-//! 1<TAB>running<TAB>critical<TAB>farm-4211-0<TAB>3<TAB>1<TAB>-
+//! camsoc-ledger v3
+//! 0<TAB>done<TAB>normal<TAB>-<TAB>0<TAB>-
+//! 1<TAB>running<TAB>critical<TAB>farm-4211-0<TAB>1<TAB>-
 //! ```
+//!
+//! Files of an older version (v1, or v2 with its heartbeat column) are
+//! refused as [`LedgerError::Malformed`].
 //!
 //! **Torn-tail recovery.** The atomic rewrite protects the rename
 //! target, but a crash inside a *non-atomic* writer (or a torn copy of
@@ -45,7 +52,7 @@ use crate::job::{JobId, JobState, Priority};
 use crate::lock::FileLock;
 
 /// Header line of a ledger file (the only format read or written).
-const LEDGER_HEADER_V2: &str = "camsoc-ledger v2";
+const LEDGER_HEADER: &str = "camsoc-ledger v3";
 
 /// Errors opening or persisting a ledger.
 #[derive(Debug)]
@@ -93,10 +100,6 @@ pub struct LedgerEntry {
     /// liveness lock is acquirable is *provably stale* and may be
     /// reclaimed.
     pub owner: String,
-    /// Heartbeat stamp: bumped on claim and at every stage boundary the
-    /// owner completes. Monotonic per job; diagnostic only (staleness
-    /// is proven by the owner lock, never by comparing stamps).
-    pub beat: u64,
     /// Transient failures booked so far (drives retry backoff and the
     /// quarantine threshold).
     pub attempts: u32,
@@ -111,7 +114,6 @@ impl LedgerEntry {
             state,
             priority,
             owner: String::new(),
-            beat: 0,
             attempts: 0,
             detail: String::new(),
         }
@@ -206,7 +208,7 @@ impl JobLedger {
     fn parse(text: &str) -> Result<Parsed, LedgerError> {
         let mut lines = text.lines();
         match lines.next() {
-            Some(LEDGER_HEADER_V2) => {}
+            Some(LEDGER_HEADER) => {}
             Some(other) => {
                 return Err(LedgerError::Malformed(format!("bad header {other:?}")));
             }
@@ -246,8 +248,8 @@ impl JobLedger {
 
     fn parse_line(line: &str) -> Result<(JobId, LedgerEntry), String> {
         let cols: Vec<&str> = line.split('\t').collect();
-        if cols.len() != 7 {
-            return Err(format!("{} columns, expected 7", cols.len()));
+        if cols.len() != 6 {
+            return Err(format!("{} columns, expected 6", cols.len()));
         }
         let id = cols[0].parse::<u64>().map_err(|_| format!("bad id {:?}", cols[0]))?;
         let state =
@@ -255,16 +257,9 @@ impl JobLedger {
         let uncol = |s: &str| if s == "-" { String::new() } else { s.to_string() };
         let priority =
             Priority::from_token(cols[2]).ok_or_else(|| format!("bad priority {:?}", cols[2]))?;
-        let beat = cols[4].parse::<u64>().map_err(|_| format!("bad beat {:?}", cols[4]))?;
-        let attempts = cols[5].parse::<u32>().map_err(|_| format!("bad attempts {:?}", cols[5]))?;
-        let entry = LedgerEntry {
-            state,
-            priority,
-            owner: uncol(cols[3]),
-            beat,
-            attempts,
-            detail: uncol(cols[6]),
-        };
+        let attempts = cols[4].parse::<u32>().map_err(|_| format!("bad attempts {:?}", cols[4]))?;
+        let entry =
+            LedgerEntry { state, priority, owner: uncol(cols[3]), attempts, detail: uncol(cols[5]) };
         Ok((JobId(id), entry))
     }
 
@@ -339,7 +334,7 @@ impl JobLedger {
 
     fn persist(&self) -> Result<(), io::Error> {
         let mut text = String::with_capacity(64 + self.entries.len() * 48);
-        text.push_str(LEDGER_HEADER_V2);
+        text.push_str(LEDGER_HEADER);
         text.push('\n');
         for (id, entry) in &self.entries {
             fn col(s: &str) -> &str {
@@ -351,12 +346,11 @@ impl JobLedger {
             }
             let _ = writeln!(
                 text,
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                "{}\t{}\t{}\t{}\t{}\t{}",
                 id.0,
                 entry.state.token(),
                 entry.priority.token(),
                 col(&entry.owner),
-                entry.beat,
                 entry.attempts,
                 col(&entry.detail),
             );
@@ -465,7 +459,6 @@ mod tests {
             .update(|t| {
                 let mut e = LedgerEntry::new(JobState::Running, Priority::Critical);
                 e.owner = "farm-1-0".into();
-                e.beat = 3;
                 e.attempts = 2;
                 t.set(JobId(4), e);
             })
@@ -474,8 +467,8 @@ mod tests {
         let other = JobLedger::open(&path).unwrap();
         let e = other.entry(JobId(4)).unwrap();
         assert_eq!(
-            (e.state, e.priority, e.owner.as_str(), e.beat, e.attempts),
-            (JobState::Running, Priority::Critical, "farm-1-0", 3, 2)
+            (e.state, e.priority, e.owner.as_str(), e.attempts),
+            (JobState::Running, Priority::Critical, "farm-1-0", 2)
         );
         // record() must preserve the metadata it does not touch.
         let mut other = other;
@@ -505,13 +498,13 @@ mod tests {
     #[test]
     fn torn_final_lines_recover_to_last_good_prefix() {
         let dir = tmp_dir("torn");
-        let good = "camsoc-ledger v2\n\
-                    0\tdone\tnormal\t-\t2\t0\t-\n\
-                    1\trunning\tcritical\tfarm-9-0\t5\t1\t-\n";
+        let good = "camsoc-ledger v3\n\
+                    0\tdone\tnormal\t-\t0\t-\n\
+                    1\trunning\tcritical\tfarm-9-0\t1\t-\n";
         // Truncate at EVERY byte boundary past the header: each image
         // must either parse fully or recover to a good prefix — never
         // refuse, never invent an entry.
-        let header_len = "camsoc-ledger v2\n".len();
+        let header_len = "camsoc-ledger v3\n".len();
         for cut in header_len..good.len() {
             let path = dir.join("cut.txt");
             fs::write(&path, &good[..cut]).unwrap();
@@ -530,10 +523,10 @@ mod tests {
         let path = dir.join("dup-tail.txt");
         fs::write(
             &path,
-            "camsoc-ledger v2\n\
-             0\tdone\tnormal\t-\t2\t0\t-\n\
-             1\tqueued\tnormal\t-\t0\t0\t-\n\
-             1\trunning\tnormal\tfarm-9-0\t1\t0\t-\n",
+            "camsoc-ledger v3\n\
+             0\tdone\tnormal\t-\t0\t-\n\
+             1\tqueued\tnormal\t-\t0\t-\n\
+             1\trunning\tnormal\tfarm-9-0\t0\t-\n",
         )
         .unwrap();
         let ledger = JobLedger::open(&path).unwrap();
@@ -549,15 +542,17 @@ mod tests {
         // Damage anywhere BEFORE the final line is not a torn tail and
         // must still be refused (each bad line is followed by a good
         // one, so recovery does not apply).
-        let tail = "9\tdone\tnormal\t-\t0\t0\t-\n";
+        let tail = "9\tdone\tnormal\t-\t0\t-\n";
         for (name, text) in [
             ("h.txt", "camsoc-ledger v9\n".to_string()),
-            ("cols.txt", format!("camsoc-ledger v2\n3\tdone\n{tail}")),
-            ("state.txt", format!("camsoc-ledger v2\n3\tbogus\tnormal\t-\t0\t0\t-\n{tail}")),
-            ("prio.txt", format!("camsoc-ledger v2\n3\tdone\turgent\t-\t0\t0\t-\n{tail}")),
-            ("id.txt", format!("camsoc-ledger v2\nx\tdone\tnormal\t-\t0\t0\t-\n{tail}")),
-            ("dup.txt", format!("camsoc-ledger v2\n3\tdone\tnormal\t-\t0\t0\t-\n3\tqueued\tnormal\t-\t0\t0\t-\n{tail}")),
+            ("cols.txt", format!("camsoc-ledger v3\n3\tdone\n{tail}")),
+            ("state.txt", format!("camsoc-ledger v3\n3\tbogus\tnormal\t-\t0\t-\n{tail}")),
+            ("prio.txt", format!("camsoc-ledger v3\n3\tdone\turgent\t-\t0\t-\n{tail}")),
+            ("id.txt", format!("camsoc-ledger v3\nx\tdone\tnormal\t-\t0\t-\n{tail}")),
+            ("dup.txt", format!("camsoc-ledger v3\n3\tdone\tnormal\t-\t0\t-\n3\tqueued\tnormal\t-\t0\t-\n{tail}")),
             ("v1cols.txt", format!("camsoc-ledger v1\n3\tdone\n{tail}")),
+            // a whole, well-formed v2 file: seven columns with a heartbeat
+            ("v2.txt", "camsoc-ledger v2\n9\tdone\tnormal\t-\t4\t0\t-\n".to_string()),
         ] {
             let path = dir.join(name);
             fs::write(&path, text).unwrap();

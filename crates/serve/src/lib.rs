@@ -15,16 +15,18 @@
 //!   stale.
 //! * [`ledger`] — the on-disk [`JobLedger`]: a versioned, atomically
 //!   rewritten text file recording every job's last known state plus
-//!   its lease (owner + heartbeat), priority, and attempt count. All
-//!   read-modify-write goes through locked transactions, so any number
-//!   of farms can share one directory.
+//!   its lease owner, priority, and attempt count. It records state
+//!   transitions only; a completed stage is recorded once, in the job's
+//!   checkpoint. All read-modify-write goes through locked
+//!   transactions, so any number of farms can share one directory.
 //! * [`store`] — per-job durable artifacts: request files,
 //!   [`camsoc_core::FlowCheckpoint`]s, and optional exported GDSII,
 //!   all written write-temp-then-rename so no kill can tear them.
 //! * [`farm`] — the [`Farm`]: priority-then-FIFO claiming out of the
 //!   shared ledger, N worker threads each stepping a `FlowSupervisor`
-//!   one stage at a time with a checkpoint write and a lease heartbeat
-//!   after every stage, stage-boundary preemption, deadline parking,
+//!   one stage at a time with a checkpoint write and a lease check
+//!   (a locked ledger read that writes only to preempt) after every
+//!   stage, stage-boundary preemption, deadline parking,
 //!   deterministic retry/backoff with poison-job quarantine, artifact
 //!   retention, and crash recovery (stale-lease reclamation → resume
 //!   from last good stage, bit-identical to an uninterrupted run).

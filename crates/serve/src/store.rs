@@ -25,10 +25,12 @@ pub const REQUEST_MAGIC: u32 = u32::from_le_bytes(*b"CREQ");
 /// so the version moves with
 /// [`CHECKPOINT_VERSION`](camsoc_core::persist::CHECKPOINT_VERSION):
 /// version 3 was the first whose options carry
-/// `RouteConfig::capacity_scale`, and version 4 dropped their
-/// fault-simulation and equivalence engine tags. Older files are refused
-/// with [`CodecError::Version`].
-pub const REQUEST_VERSION: u32 = 4;
+/// `RouteConfig::capacity_scale`, version 4 dropped their
+/// fault-simulation and equivalence engine tags, and version 5 dropped
+/// the back end's own overflow ceiling (the flow's routing gate is the
+/// one overflow policy). Older files are refused with
+/// [`CodecError::Version`].
+pub const REQUEST_VERSION: u32 = 5;
 
 /// Durable per-job storage rooted at a farm directory.
 #[derive(Debug, Clone)]
@@ -222,10 +224,11 @@ mod tests {
             FlowOptions::default(),
         );
         // Versions 1 and 2 embed flow options without
-        // `capacity_scale`, version 3 with the engine tags; a future
-        // version is unknown. Each is refused at the header, with a
-        // typed version error.
-        for found in [1u32, 2, 3, 99] {
+        // `capacity_scale`, version 3 with the engine tags, version 4
+        // with the back end's overflow ceiling; a future version is
+        // unknown. Each is refused at the header, with a typed version
+        // error.
+        for found in [1u32, 2, 3, 4, 99] {
             let mut e = Encoder::new();
             e.put_u32(REQUEST_MAGIC);
             e.put_u32(found);
@@ -255,7 +258,7 @@ mod tests {
         }
         assert_eq!(
             (REQUEST_VERSION, camsoc_core::persist::CHECKPOINT_VERSION, digest),
-            (4, 3, 0xb023_f51d_5655_5df6),
+            (5, 4, 0xb798_ca11_12e4_3ebc),
             "the FlowOptions encoding changed: bump REQUEST_VERSION and \
              CHECKPOINT_VERSION, then re-pin this digest"
         );

@@ -173,11 +173,6 @@ impl Testbench {
         }
     }
 
-    /// Number of expectations registered so far.
-    pub fn num_expectations(&self) -> usize {
-        self.expectations.len()
-    }
-
     /// Run the campaign on a netlist.
     ///
     /// # Errors

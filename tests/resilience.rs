@@ -269,6 +269,30 @@ fn failed_run_resumes_without_redoing_completed_stages() {
     }
 }
 
+/// Regression: `finish` on an unfinished checkpoint used to move out
+/// the products it met before the first missing one and drop them, so
+/// a resume re-ran stages that had already finished. It now names the
+/// first missing stage and takes nothing.
+#[test]
+fn finish_on_an_unfinished_checkpoint_keeps_every_completed_stage() {
+    let supervisor = FlowSupervisor::new(FlowOptions::default());
+    let mut checkpoint = FlowCheckpoint::new(small_block(23));
+    let through_fix = StageId::ALL[..=StageId::TimingFix.index()].to_vec();
+    for _ in &through_fix {
+        supervisor.advance(&mut checkpoint).expect("stage runs");
+    }
+    assert_eq!(checkpoint.completed_stages(), through_fix);
+
+    let err = checkpoint.finish().expect_err("the flow has not finished");
+    assert!(matches!(err, FlowError::MissingInput { stage: StageId::Equiv, .. }), "{err}");
+    assert_eq!(checkpoint.completed_stages(), through_fix, "finish consumed stage products");
+
+    // only the three remaining stages run on resume
+    let before = checkpoint.trace().attempts.len();
+    let result = supervisor.resume(&mut checkpoint).expect("resume completes");
+    assert_eq!(result.trace.attempts.len() - before, 3);
+}
+
 #[test]
 fn spent_checkpoint_cannot_run_again() {
     let supervisor = FlowSupervisor::new(FlowOptions::default());
